@@ -9,8 +9,10 @@ sorting the canonical serialization order.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
@@ -134,7 +136,7 @@ class Word:
             block = Block(0, len(bits))
         if len(bits) != block.length:
             raise ValueError(f"word length {len(bits)} != block {block} length")
-        return cls(block, _parse_bits(bits) if any(c == "1" for c in bits) else int(bits, 2))
+        return cls(block, _parse_bits(bits))
 
     def bit(self, index: int) -> int:
         """Bit at an absolute index inside the block."""
@@ -249,6 +251,11 @@ def point_of_word(w: Word) -> Point:
     return Point(w.block.hi, w.value)
 
 
+# Widest block whose full word set may be materialized, as a frozenset or as
+# a 2^length-bit int (at most 128 KiB).
+_MAX_FULL_LENGTH = 20
+
+
 @dataclass(frozen=True)
 class PatternSet:
     """Finite set of same-block words, stored as packed values."""
@@ -283,7 +290,7 @@ class PatternSet:
 
     @classmethod
     def full(cls, block: Block) -> "PatternSet":
-        if block.length > 20:
+        if block.length > _MAX_FULL_LENGTH:
             raise ValueError(f"refusing to materialize 2^{block.length} words")
         return cls(block, frozenset(range(1 << block.length)))
 
@@ -316,14 +323,96 @@ def density(J: PatternSet) -> Fraction:
 def pattern_sum(J: PatternSet, K: PatternSet) -> PatternSet:
     """Blockwise XOR sumset {u + v : u in J, v in K}.
 
-    An empty operand gives an empty result (logged, not an error).
+    An empty operand gives an empty result (logged, not an error).  When the
+    pair loop would take more than 2^L steps on an L-bit block (L at most
+    20), the sum runs on bitsets instead; the result is the same set.
     """
     if J.block != K.block:
         raise ValueError(f"blocks differ: {J.block} vs {K.block}")
     if not J.values or not K.values:
         log.debug("pattern_sum over empty operand on block %s", J.block)
         return PatternSet.empty(J.block)
+    length = J.block.length
+    if length <= _MAX_FULL_LENGTH and len(J) * len(K) > 1 << length:
+        small, large = sorted((J.values, K.values), key=len)
+        bits = _translate_union(
+            sorted(small), 0, len(small), 0, length - 1,
+            _to_bitset(large, length), _swap_masks(length),
+        )
+        return PatternSet(J.block, _from_bitset(bits, length))
     return PatternSet(J.block, frozenset(u ^ v for u in J.values for v in K.values))
+
+
+# Bitset kernel for pattern_sum.  A set of words on an L-bit block is the
+# 2^L-bit int whose bit v is set when word v is a member.  Its cost follows
+# 2^L, not the number of words, hence the pair-count rule in pattern_sum.
+
+_BYTE_BITS = tuple(
+    tuple(i for i in range(8) if byte >> i & 1) for byte in range(256)
+)
+
+
+@cache
+def _swap_masks(length: int) -> tuple[int, ...]:
+    """masks[i] has bit v set for every v < 2^length whose bit i is 0."""
+    size = 1 << length
+    masks = []
+    for i in range(length):
+        mask, width = (1 << (1 << i)) - 1, 1 << (i + 1)
+        while width < size:
+            mask |= mask << width
+            width <<= 1
+        masks.append(mask)
+    return tuple(masks)
+
+
+def _translate(bits: int, w: int, masks: tuple[int, ...]) -> int:
+    """The bitset of {v ^ w : v in bits}: one half swap per set bit of w."""
+    while w:
+        low = w & -w
+        mask = masks[low.bit_length() - 1]
+        bits = ((bits & mask) << low) | ((bits >> low) & mask)
+        w ^= low
+    return bits
+
+
+def _translate_union(
+    words: list[int], lo: int, hi: int, base: int, top: int,
+    bits: int, masks: tuple[int, ...],
+) -> int:
+    """OR of the translates of `bits` by w - base for the sorted words[lo:hi],
+    all of which lie in [base, base + 2^(top+1)).
+
+    Splitting on bit `top` shares one translate by 2^top among every word of
+    the upper half, so a dense operand costs far fewer than |words|·L swaps.
+    """
+    if hi - lo == 1:
+        return _translate(bits, words[lo] - base, masks)
+    half = 1 << top
+    mid = bisect_left(words, base + half, lo, hi)
+    out = 0
+    if mid > lo:
+        out = _translate_union(words, lo, mid, base, top - 1, bits, masks)
+    if hi > mid:
+        upper = _translate_union(words, mid, hi, base + half, top - 1, bits, masks)
+        out |= _translate(upper, half, masks)
+    return out
+
+
+def _to_bitset(values: frozenset[int], length: int) -> int:
+    buf = bytearray(((1 << length) + 7) >> 3)
+    for v in values:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _from_bitset(bits: int, length: int) -> frozenset[int]:
+    data = bits.to_bytes(((1 << length) + 7) >> 3, "little")
+    return frozenset(
+        j << 3 | i
+        for j, byte in enumerate(data) if byte
+        for i in _BYTE_BITS[byte]
+    )
 
 
 def pattern_translate(J: PatternSet, w: Word) -> PatternSet:

@@ -35,6 +35,7 @@ from .covers import (
     SmallCover,
 )
 from .kseq import build_kseq
+from .oracle import pattern_nfold
 from .trees import (
     PrefixTree,
     SilverTree,
@@ -99,17 +100,13 @@ def _clean_folds(folds: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def _nfold(J: PatternSet, b: int) -> PatternSet:
-    acc = PatternSet(J.block, frozenset({0}))
-    for _ in range(b):
-        acc = pattern_sum(acc, J)
-    return acc
-
-
 def _fold_union(J: PatternSet, up_to: int) -> PatternSet:
-    vals: set[int] = set()
-    for j in range(up_to + 1):
-        vals |= _nfold(J, j).values
+    """Union of the j-fold sums of J for j = 0..up_to."""
+    acc = PatternSet(J.block, frozenset({0}))
+    vals = set(acc.values)
+    for _ in range(up_to):
+        acc = pattern_sum(acc, J)
+        vals |= acc.values
     return PatternSet(J.block, frozenset(vals))
 
 
@@ -630,7 +627,7 @@ def shrink_perfect_small(
     per_fold = []
     for b in folds:
         pats = tuple(
-            pattern_sum(F.patterns[n], _nfold(tree_restrict(tree_out, blk), b))
+            pattern_sum(F.patterns[n], pattern_nfold(tree_restrict(tree_out, blk), b))
             for n, blk in enumerate(P.blocks)
         )
         per_fold.append((b, SmallCover(P, pats)))

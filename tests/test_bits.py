@@ -10,7 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treesum import bits
 from treesum.bits import (
     Block,
     Partition,
@@ -102,6 +105,16 @@ class TestWord:
         assert Word.from_bits("001", Block(0, 3)).value == 1
         assert unit_word(Block(2, 5), 2).bits() == "100"
         assert unit_word(Block(2, 5), 4).bits() == "001"
+
+    @pytest.mark.parametrize("text", ["0_0", " 00", "00 "])
+    def test_from_bits_rejects_non_bit_characters(self, text):
+        # int(text, 2) alone would accept the underscore and the blanks
+        with pytest.raises(ValueError):
+            Word.from_bits(text)
+        with pytest.raises(ValueError):
+            Word.from_bits(text, Block(2, 5))
+        with pytest.raises(ValueError):
+            PatternSet.from_bits(Block(0, 3), ["101", text])
 
     def test_lex_order_is_numeric_order(self):
         block = Block(0, 5)
@@ -279,3 +292,69 @@ class TestPatternSet:
                 PatternSet(sub, frozenset(w.restrict(sub).value for w in B.words())),
             )
             assert lhs == rhs.values
+
+
+# Pair budget for one reference comprehension in the kernel property test.
+REFERENCE_PAIRS = 1 << 17
+
+
+@st.composite
+def pattern_operand(draw, length: int, max_size: int) -> frozenset[int]:
+    size = 1 << length
+    kind = draw(st.sampled_from(["empty", "singleton", "full", "random"]))
+    if kind == "empty":
+        return frozenset()
+    if kind == "singleton":
+        return frozenset({draw(st.integers(0, size - 1))})
+    if kind == "full" and size <= max_size:
+        return frozenset(range(size))
+    count = draw(st.integers(1, min(size, max_size)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return frozenset(random.Random(seed).sample(range(size), count))
+
+
+@st.composite
+def pattern_pairs(draw) -> tuple[PatternSet, PatternSet]:
+    length = draw(st.integers(1, 14))
+    lo = draw(st.integers(0, 5))
+    block = Block(lo, lo + length)
+    J = draw(pattern_operand(length, REFERENCE_PAIRS))
+    K = draw(pattern_operand(length, max(1, REFERENCE_PAIRS // max(1, len(J)))))
+    return PatternSet(block, J), PatternSet(block, K)
+
+
+class TestPatternSumKernel:
+    """pattern_sum against the plain pair comprehension it replaces for
+    large operands."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pattern_pairs())
+    def test_matches_pair_comprehension(self, pair):
+        J, K = pair
+        want = frozenset(u ^ v for u in J.values for v in K.values)
+        assert pattern_sum(J, K) == PatternSet(J.block, want)
+        assert pattern_sum(K, J) == PatternSet(J.block, want)
+
+    @pytest.mark.parametrize("length", range(1, 15))
+    def test_cost_rule_picks_the_bitset_path(self, length, monkeypatch):
+        # the bitset path runs exactly when |J|·|K| > 2^L; both sides agree
+        # with the comprehension
+        calls = []
+        kernel = bits._translate_union
+        monkeypatch.setattr(
+            bits, "_translate_union",
+            lambda *args: calls.append(1) or kernel(*args),
+        )
+        rng = random.Random(length)
+        block = Block(3, 3 + length)
+        size = 1 << length
+        j_size = 1 << ((length + 1) // 2)
+        took_bitset = []
+        for k_size in (size // j_size, size // j_size + 1):
+            J = PatternSet(block, frozenset(rng.sample(range(size), j_size)))
+            K = PatternSet(block, frozenset(rng.sample(range(size), k_size)))
+            calls.clear()
+            got = pattern_sum(J, K)
+            assert got.values == {u ^ v for u in J.values for v in K.values}
+            took_bitset.append(bool(calls))
+        assert took_bitset == [False, True]

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from treesum.bits import Partition, PatternSet, Point, restrict
+import treesum.constructions as constructions_mod
+from treesum.bits import Block, Partition, PatternSet, Point, restrict
 from treesum.covers import (
     ClosedNullChain,
     ECover,
@@ -33,6 +34,7 @@ from treesum.oracle import (
     certify_request,
     density_audit_table,
     exhaustive_containment,
+    pattern_nfold,
 )
 from treesum.trees import (
     PrefixTree,
@@ -627,6 +629,28 @@ class TestSplittingE:
         from dataclasses import replace
         bad = replace(req, targets=tuple(clipped))
         assert not certify_request(bad).passed
+
+
+class TestFoldUnion:
+    @pytest.mark.parametrize("up_to", range(5))
+    def test_union_of_nfolds_with_one_sum_per_fold(self, up_to, monkeypatch):
+        calls = []
+        pattern_sum = constructions_mod.pattern_sum
+        monkeypatch.setattr(
+            constructions_mod, "pattern_sum",
+            lambda J, K: calls.append(1) or pattern_sum(J, K),
+        )
+        rng = random.Random(up_to)
+        block = Block(2, 8)
+        for size in (1, 3, 9, 20):
+            J = PatternSet(block, frozenset(rng.sample(range(64), size)))
+            calls.clear()
+            got = constructions_mod._fold_union(J, up_to)
+            want = set()
+            for j in range(up_to + 1):
+                want |= pattern_nfold(J, j).values
+            assert got == PatternSet(block, frozenset(want))
+            assert len(calls) == up_to
 
 
 class TestFoldsArgument:

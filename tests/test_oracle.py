@@ -5,6 +5,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesum.bits import Block, Partition, PatternSet, Point
 from treesum.covers import (
@@ -75,6 +77,38 @@ class TestNfold:
             T = random_tree(rng, rng.randint(2, 8), 12)
             for n in (1, 2, 3):
                 assert nfold_body_sum(T, n) == nfold_body_sum_direct(T, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_direct_on_random_trees(self, data):
+        horizon = data.draw(st.integers(1, 8))
+        leaves = data.draw(
+            st.frozensets(st.integers(0, (1 << horizon) - 1), min_size=1, max_size=24)
+        )
+        T = PrefixTree(horizon, leaves)
+        n = data.draw(st.integers(1, 3))
+        assert nfold_body_sum(T, n) == nfold_body_sum_direct(T, n)
+
+    def test_budget_boundary(self):
+        # the charge is |acc|·|J| per round, so a budget of exactly the
+        # pairs spent passes and one less raises
+        T = PrefixTree.full(8)
+        base = nfold_body_sum(T, 1)
+        J = PatternSet(Block(0, 5), frozenset({1, 2, 4, 7, 8, 16, 31}))
+        cases = [
+            (
+                lambda budget: nfold_body_sum(T, 3, budget),
+                len(base) * sum(len(nfold_body_sum(T, r)) for r in (1, 2)),
+            ),
+            (
+                lambda budget: pattern_nfold(J, 3, budget),
+                len(J) * sum(len(pattern_nfold(J, r)) for r in (0, 1, 2)),
+            ),
+        ]
+        for fold, spent in cases:
+            assert len(fold(spent)) > 0
+            with pytest.raises(BudgetExceeded):
+                fold(spent - 1)
 
     def test_pattern_nfold_zero(self):
         J = PatternSet.from_bits(Block(2, 5), ["011", "100"])
