@@ -6,14 +6,14 @@ is an assignment on one block, and a PatternSet is a finite set of words
 on a shared block.  Addition is coordinatewise XOR throughout.
 """
 
-from treesum import Block, Partition, PatternSet, Point, density, pattern_sum, restrict
+from treesum import Block, Partition, PatternSet, Point, pattern_sum, restrict
 
 block = Block(0, 3)
 print("block", block, "has length", block.length)
 
 J = PatternSet.from_bits(block, ["101", "010", "111"])
 print("pattern set:", ", ".join(str(w) for w in J.words()))
-print("density:", density(J), "out of", 2 ** block.length, "possible words")
+print("density:", J.density, "out of", 2 ** block.length, "possible words")
 
 # XOR sumset of two pattern sets on the same block
 K = PatternSet.from_bits(block, ["001"])

@@ -13,7 +13,6 @@ from treesum import (
     SmallCover,
     certify_request,
     shrink_perfect_small,
-    small_mass,
 )
 
 part = Partition.from_lengths([3, 3, 3, 3])
@@ -23,7 +22,7 @@ cover = SmallCover(part, (
     PatternSet.from_bits(part[2], ["100"]),
     PatternSet.from_bits(part[3], ["111"]),
 ))
-print("cover mass:", small_mass(cover))
+print("cover mass:", cover.mass)
 
 result = shrink_perfect_small(cover, PrefixTree.full(12))
 for key, value in result.provenance.details:
@@ -38,4 +37,4 @@ bundle = result.witnesses[0]
 cert = certify_request(bundle.request)
 print("certificate passed:", cert.passed)
 for b, witness in bundle.per_fold:
-    print(f"  fold {b}: witness mass {small_mass(witness)}")
+    print(f"  fold {b}: witness mass {witness.mass}")

@@ -157,17 +157,13 @@ class Word:
         return Word(sub, (self.value >> (self.block.hi - sub.hi)) & sub.mask)
 
     def __xor__(self, other: "Word") -> "Word":
-        return xor_add(self, other)
+        """Coordinatewise mod-2 sum; both words must live on the same block."""
+        if self.block != other.block:
+            raise ValueError(f"blocks differ: {self.block} vs {other.block}")
+        return Word(self.block, self.value ^ other.value)
 
     def __str__(self) -> str:
         return self.bits()
-
-
-def xor_add(u: Word, v: Word) -> Word:
-    """Coordinatewise mod-2 sum; both words must live on the same block."""
-    if u.block != v.block:
-        raise ValueError(f"blocks differ: {u.block} vs {v.block}")
-    return Word(u.block, u.value ^ v.value)
 
 
 def zero_word(block: Block) -> Word:
@@ -252,7 +248,7 @@ def point_of_word(w: Word) -> Point:
 
 
 # Widest block whose full word set may be materialized, as a frozenset or as
-# a 2^length-bit int (at most 128 KiB).
+# a 2^length-bit int (at most 128 KiB); also the deepest full prefix tree.
 _MAX_FULL_LENGTH = 20
 
 
@@ -314,10 +310,6 @@ class PatternSet:
     @property
     def density(self) -> Fraction:
         return Fraction(len(self.values), 1 << self.block.length)
-
-
-def density(J: PatternSet) -> Fraction:
-    return J.density
 
 
 def pattern_sum(J: PatternSet, K: PatternSet) -> PatternSet:

@@ -73,13 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("scenario", help="path to a scenario JSON file")
     p_run.add_argument(
-        "--horizon-cap", type=int, default=14, metavar="N",
+        "--horizon-cap", type=int, default=RunFlags.horizon_cap, metavar="N",
         help="exhaustive checks only run when the horizon is at most N "
-             "(default 14)",
+             "(default %(default)s)",
     )
     p_run.add_argument(
-        "--folds", type=_parse_folds, default=(0, 1, 2, 3), metavar="RANGE",
-        help="fold counts to verify, like '0..3' or '0,2' (default 0..3)",
+        "--folds", type=_parse_folds, default=RunFlags.folds, metavar="RANGE",
+        help="fold counts to verify, like '0..3' or '0,2' (default "
+             + ",".join(map(str, RunFlags.folds)) + ")",
     )
     p_run.add_argument(
         "--no-exhaustive", action="store_true",

@@ -13,15 +13,15 @@ import itertools
 import logging
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bits import (
     Block,
     Partition,
     PatternSet,
     Point,
-    Word,
     block_product,
+    coarsen,
     indicator_word,
     pattern_sum,
     restrict,
@@ -110,16 +110,108 @@ def _fold_union(J: PatternSet, up_to: int) -> PatternSet:
     return PatternSet(J.block, frozenset(vals))
 
 
-def _allowed_or_full(F: MeagerCover, j: int) -> PatternSet:
-    if j < F.threshold:
-        return PatternSet.full(F.partition[j])
-    return F.allowed(j)
+def _group(
+    fine: Partition, sizes: Iterable[int], filling: str
+) -> tuple[list[tuple[int, int]], Partition, list[str]]:
+    """Group consecutive fine blocks by `sizes` until the next group no
+    longer fits: the fine-index ranges, the coarsened partition and the
+    warning about the fine blocks left over."""
+    ranges, start = [], 0
+    for size in sizes:
+        if start + size > len(fine):
+            break
+        ranges.append((start, start + size))
+        start += size
+    coarse = coarsen(Partition(fine.blocks[:start]), [hi - lo for lo, hi in ranges])
+    warnings = []
+    dropped = len(fine) - start
+    if dropped:
+        # a pair can only ever leave one block over
+        unit = "block" if filling == "pair" else "block(s)"
+        warnings.append(
+            f"dropped {dropped} trailing fine {unit} not filling a {filling}"
+        )
+    return ranges, coarse, warnings
 
 
-def _e_or_full(E: ECover, j: int) -> PatternSet:
-    if j < E.threshold:
-        return PatternSet.full(E.partition[j])
-    return E.patterns[j]
+def _super_sizes() -> Iterable[int]:
+    """Super-block sizes in fine blocks, (2^n)^(n+1): 1, 4, 64, ..."""
+    return ((2**n) ** (n + 1) for n in itertools.count())
+
+
+def _source(
+    cover: MeagerCover | ECover, ranges: list[tuple[int, int]]
+) -> tuple[PatternSet, ...]:
+    """Per group of fine blocks, the product of the cover's fine source
+    patterns: every word below its threshold, past it the allowed words of
+    a meager cover or the listed words of an E cover."""
+
+    def fine(j: int) -> PatternSet:
+        if j < cover.threshold:
+            return PatternSet.full(cover.partition[j])
+        if isinstance(cover, MeagerCover):
+            return cover.allowed(j)
+        return cover.patterns[j]
+
+    return tuple(
+        block_product([fine(j) for j in range(lo, hi)]) for lo, hi in ranges
+    )
+
+
+def _bundle(
+    label: str,
+    partition: Partition,
+    source: tuple[PatternSet, ...],
+    tree: PrefixTree,
+    per_fold: Iterable[tuple[int, Cover]],
+    bounds: Iterable[tuple[int, Fraction]] = (),
+) -> WitnessBundle:
+    """The witness bundle of per-fold covers of one type and the certificate
+    request that replays it against `tree`.  Small covers are audited
+    against the given per-fold mass bounds, E covers against density 1/2."""
+    per_fold = tuple(per_fold)
+    cover = per_fold[0][1]
+    if isinstance(cover, MeagerCover):
+        kind, audit = "meager", None
+        targets = tuple(
+            (b, tuple(c.allowed(k) for k in range(len(partition))))
+            for b, c in per_fold
+        )
+    else:
+        targets = tuple((b, c.patterns) for b, c in per_fold)
+        if isinstance(cover, SmallCover):
+            kind, audit = "small", "mass"
+        else:
+            kind, audit = "e", "max_density"
+            bounds = ((b, Fraction(1, 2)) for b, _ in per_fold)
+    thresholds = tuple((b, getattr(c, "threshold", 0)) for b, c in per_fold)
+    request = CertificateRequest(label, partition, source, tree, targets, thresholds)
+    return WitnessBundle(
+        label, kind, per_fold, _uniform(per_fold), request, audit, tuple(bounds)
+    )
+
+
+def _least_free(free: frozenset[int], blocks: Iterable[Block]) -> list[int]:
+    """The least free coordinate of each block that has one, in block order."""
+    out = []
+    for blk in blocks:
+        hits = [i for i in free if i in blk]
+        if hits:
+            out.append(min(hits))
+    return out
+
+
+def _subset_ors(masks: Sequence[int]) -> set[int]:
+    """The OR of every subset of the masks."""
+    out = {0}
+    for m in masks:
+        out |= {v | m for v in out}
+    return out
+
+
+def _four_translates(J: PatternSet, w: int, unit: int) -> PatternSet:
+    """J shifted by each of 0, w, unit and w + unit."""
+    return pattern_sum(J, PatternSet(J.block, frozenset({0, w, unit, w ^ unit})))
 
 
 def _set_block(value: int, horizon: int, blk: Block, pattern: int) -> int:
@@ -146,22 +238,12 @@ def shrink_silver_meager(
     folds = _clean_folds(folds)
     if F.horizon != T.horizon:
         raise ValueError("cover and tree horizons differ")
-    fine = F.partition
-    pairs = len(fine) // 2
-    if pairs == 0:
+    if len(F.partition) < 2:
         raise ValueError("need at least two blocks to form coarse pairs")
-    coarse = Partition(
-        tuple(Block(fine[2 * k].lo, fine[2 * k + 1].hi) for k in range(pairs))
-    )
-    warnings = []
-    if len(fine) % 2:
-        warnings.append("dropped 1 trailing fine block not filling a pair")
+    ranges, coarse, warnings = _group(F.partition, itertools.repeat(2), "pair")
+    pairs = len(coarse)
 
-    selected = []
-    for k in range(pairs):
-        hits = sorted(i for i in T.free if i in coarse[k])
-        if hits:
-            selected.append(hits[0])
+    selected = _least_free(T.free, coarse)
     if not T.free:
         warnings.append("input tree has no free coordinates at this horizon")
     elif not selected:
@@ -177,23 +259,8 @@ def shrink_silver_meager(
             x = x ^ T.x.truncate(Hw)
         per_fold.append((b, MeagerCover(x, coarse, threshold)))
 
-    source = tuple(
-        block_product(
-            [_allowed_or_full(F, 2 * k), _allowed_or_full(F, 2 * k + 1)]
-        )
-        for k in range(pairs)
-    )
-    targets = tuple(
-        (b, tuple(cover.allowed(k) for k in range(pairs)))
-        for b, cover in per_fold
-    )
-    request = CertificateRequest(
-        "meager", coarse, source, silver_to_prefix(tree_out),
-        targets, tuple((b, threshold) for b in folds),
-    )
-    bundle = WitnessBundle(
-        "meager", "meager", tuple(per_fold), _uniform(tuple(per_fold)),
-        request, None, (),
+    bundle = _bundle(
+        "meager", coarse, _source(F, ranges), silver_to_prefix(tree_out), per_fold
     )
     prov = Provenance(
         "shrink_silver_meager",
@@ -205,20 +272,6 @@ def shrink_silver_meager(
         tuple(warnings),
     )
     return ShrinkResult(tree_out, (bundle,), prov)
-
-
-def _super_ranges(fine_count: int) -> list[tuple[int, int]]:
-    """Complete super-blocks as fine-index ranges, sizes 1, 4, 64, ..."""
-    out = []
-    start = 0
-    n = 0
-    while True:
-        size = (2**n) ** (n + 1)
-        if start + size > fine_count:
-            return out
-        out.append((start, start + size))
-        start += size
-        n += 1
 
 
 def _tuples_over(letters: list[str], max_len: int) -> list[tuple[str, ...]]:
@@ -261,18 +314,8 @@ def shrink_perfect_meager(
     if not classify(T).perfect:
         raise ValueError("input tree is not perfect at its horizon")
     fine = F.partition
-    N = F.threshold
-    ranges = _super_ranges(len(fine))
+    ranges, supers, warnings = _group(fine, _super_sizes(), "super-block")
     G = len(ranges) - 1
-    supers = Partition(
-        tuple(Block(fine[lo].lo, fine[hi - 1].hi) for lo, hi in ranges)
-    )
-    warnings = []
-    dropped = len(fine) - ranges[-1][1]
-    if dropped:
-        warnings.append(
-            f"dropped {dropped} trailing fine block(s) not filling a super-block"
-        )
 
     # splitting-node hierarchy: generation g nodes sit past super-block g
     sigma: dict[str, str] = {}
@@ -320,28 +363,12 @@ def shrink_perfect_meager(
             x_val = _set_block(x_val, Hw, blk, val)
     x_H = Point(Hw, x_val)
 
-    base = next(
-        (n for n in range(len(ranges)) if ranges[n][0] >= N), len(ranges)
-    )
+    base = sum(lo < F.threshold for lo, _ in ranges)
     per_fold = tuple(
         (b, MeagerCover(x_H, supers, min(max(b, base), len(supers))))
         for b in folds
     )
-    source = tuple(
-        block_product([_allowed_or_full(F, j) for j in range(lo, hi)])
-        for lo, hi in ranges
-    )
-    targets = tuple(
-        (b, tuple(cover.allowed(k) for k in range(len(supers))))
-        for b, cover in per_fold
-    )
-    request = CertificateRequest(
-        "meager", supers, source, tree_out, targets,
-        tuple((b, cover.threshold) for b, cover in per_fold),
-    )
-    bundle = WitnessBundle(
-        "meager", "meager", per_fold, _uniform(per_fold), request, None, ()
-    )
+    bundle = _bundle("meager", supers, _source(F, ranges), tree_out, per_fold)
     prov = Provenance(
         "shrink_perfect_meager",
         (
@@ -356,78 +383,39 @@ def shrink_perfect_meager(
     return ShrinkResult(tree_out, (bundle,), prov)
 
 
-def _triangular_ranges(fine_count: int) -> list[tuple[int, int]]:
-    """Fine-index ranges of sizes 1, 1, 2, 3, 4, ..."""
-    out = [(0, 1)]
-    n = 0
-    while True:
-        lo = n * (n + 1) // 2 + 1
-        hi = (n + 1) * (n + 2) // 2 + 1
-        if hi > fine_count:
-            return out
-        out.append((lo, hi))
-        n += 1
-
-
 def build_splitting_meager(
     F: MeagerCover, folds: Sequence[int] = DEFAULT_FOLDS
 ) -> ShrinkResult:
     """Fresh splitting tree whose branches carry a single 1 in each
     triangular block group, so few branches cannot soil every fine block."""
     folds = _clean_folds(folds)
-    fine = F.partition
     H = F.horizon
-    N = F.threshold
-    ranges = _triangular_ranges(len(fine))
-    supers = Partition(
-        tuple(Block(fine[lo].lo, fine[hi - 1].hi) for lo, hi in ranges)
+    # group sizes 1, 1, 2, 3, 4, ...
+    ranges, supers, warnings = _group(
+        F.partition, itertools.chain((1,), itertools.count(1)), "group"
     )
-    warnings = []
-    dropped = len(fine) - ranges[-1][1]
-    if dropped:
-        warnings.append(
-            f"dropped {dropped} trailing fine block(s) not filling a group"
-        )
 
-    segments = [supers[n] for n in range(len(supers))]
     choices = []
-    for seg in segments:
+    for seg in supers:
         choices.append([1 << (seg.hi - 1 - i) for i in range(seg.lo, seg.hi)])
     tail = H - supers.horizon
     leaves = set()
     for combo in itertools.product(*choices):
         v = 0
-        for seg, one_hot in zip(segments, combo):
+        for seg, one_hot in zip(supers, combo):
             v |= one_hot << (H - seg.hi)
         for tail_bits in range(1 << tail):
             leaves.add(v | tail_bits)
     tree_out = PrefixTree(H, frozenset(leaves))
 
-    base = next(
-        (n for n in range(len(ranges)) if ranges[n][0] >= N), len(ranges)
-    )
+    base = sum(lo < F.threshold for lo, _ in ranges)
     x_w = F.xF.truncate(supers.horizon)
     per_fold = []
     for b in folds:
         thr = base if b == 0 else max(base, b + 1)
         per_fold.append((b, MeagerCover(x_w, supers, min(thr, len(supers)))))
-    per_fold = tuple(per_fold)
 
-    source = tuple(
-        block_product([_allowed_or_full(F, j) for j in range(lo, hi)])
-        for lo, hi in ranges
-    )
-    targets = tuple(
-        (b, tuple(cover.allowed(k) for k in range(len(supers))))
-        for b, cover in per_fold
-    )
-    request = CertificateRequest(
-        "meager", supers, source, tree_out, targets,
-        tuple((b, cover.threshold) for b, cover in per_fold),
-    )
-    bundle = WitnessBundle(
-        "meager", "meager", per_fold, _uniform(per_fold), request, None, ()
-    )
+    bundle = _bundle("meager", supers, _source(F, ranges), tree_out, per_fold)
     prov = Provenance(
         "build_splitting_meager",
         (
@@ -453,40 +441,21 @@ def shrink_silver_small(
         raise ValueError("cover and tree horizons differ")
     P = F.partition
     warnings = []
-    selected = []
-    units: list[Word | None] = []
-    for n, blk in enumerate(P.blocks):
-        hits = sorted(i for i in T.free if i in blk)
-        if hits:
-            selected.append(hits[0])
-            units.append(indicator_word(blk, [hits[0]]))
-        else:
-            units.append(None)
+    selected = _least_free(T.free, P)
     if not selected:
         warnings.append("no free coordinates selected; tree body is a single branch")
     tree_out = SilverTree(T.x, frozenset(selected))
 
-    witness_patterns = []
-    for n, blk in enumerate(P.blocks):
-        xw = restrict(T.x, blk)
-        translates = {0, xw.value}
-        if units[n] is not None:
-            translates |= {units[n].value, xw.value ^ units[n].value}
-        witness_patterns.append(
-            pattern_sum(F.patterns[n], PatternSet(blk, frozenset(translates)))
+    witness = SmallCover(P, tuple(
+        _four_translates(
+            J, restrict(T.x, blk).value, indicator_word(blk, selected).value
         )
-    witness = SmallCover(P, tuple(witness_patterns))
-
-    per_fold = tuple((b, witness) for b in folds)
-    targets = tuple((b, witness.patterns) for b in folds)
-    request = CertificateRequest(
-        "small", P, F.patterns, silver_to_prefix(tree_out), targets,
-        tuple((b, 0) for b in folds),
-    )
+        for blk, J in zip(P, F.patterns)
+    ))
     bound = 4 * F.mass
-    bundle = WitnessBundle(
-        "small", "small", per_fold, True, request,
-        "mass", tuple((b, bound) for b in folds),
+    bundle = _bundle(
+        "small", P, F.patterns, silver_to_prefix(tree_out),
+        ((b, witness) for b in folds), ((b, bound) for b in folds),
     )
     prov = Provenance(
         "shrink_silver_small",
@@ -631,17 +600,11 @@ def shrink_perfect_small(
             for n, blk in enumerate(P.blocks)
         )
         per_fold.append((b, SmallCover(P, pats)))
-    per_fold = tuple(per_fold)
 
-    targets = tuple((b, cover.patterns) for b, cover in per_fold)
-    request = CertificateRequest(
-        "small", P, F.patterns, tree_out, targets,
-        tuple((b, 0) for b in folds),
-    )
     mass = F.mass
-    bundle = WitnessBundle(
-        "small", "small", per_fold, _uniform(per_fold), request,
-        "mass", tuple((b, (1 << (b * b)) * mass) for b in folds),
+    bundle = _bundle(
+        "small", P, F.patterns, tree_out, per_fold,
+        ((b, (1 << (b * b)) * mass) for b in folds),
     )
     prov = Provenance(
         "shrink_perfect_small",
@@ -712,19 +675,7 @@ def build_splitting_null(
         indicator_word(full_block, coords).value for coords in piece_free
     ]
     unit_masks = [indicator_word(full_block, [a]).value for a in A]
-    leaves = set()
-    for consts in itertools.product((0, 1), repeat=len(pieces)):
-        base = 0
-        for c, m in zip(consts, piece_masks):
-            if c:
-                base |= m
-        for bits in itertools.product((0, 1), repeat=len(A)):
-            v = base
-            for bit, m in zip(bits, unit_masks):
-                if bit:
-                    v |= m
-            leaves.add(v)
-    tree_out = PrefixTree(H, frozenset(leaves))
+    tree_out = PrefixTree(H, frozenset(_subset_ors(piece_masks + unit_masks)))
 
     chi = frozenset(A)
     bundles = []
@@ -744,33 +695,18 @@ def build_splitting_null(
                         ).value
                     )
             unit = indicator_word(blk, [a for a in A if a in blk]).value
-            translates = set()
-            for consts in itertools.product((0, 1), repeat=len(local_masks)):
-                v = 0
-                for c, m in zip(consts, local_masks):
-                    if c:
-                        v |= m
-                translates.add(v)
-                translates.add(v ^ unit)
+            translates = {v ^ t for v in _subset_ors(local_masks) for t in (0, unit)}
             pats.append(
                 pattern_sum(
                     small.patterns[n], PatternSet(blk, frozenset(translates))
                 )
             )
         witness = SmallCover(P, tuple(pats))
-        per_fold = tuple((b, witness) for b in folds)
-        request = CertificateRequest(
-            label, P, small.patterns, tree_out,
-            tuple((b, witness.patterns) for b in folds),
-            tuple((b, 0) for b in folds),
-        )
         bound = 8 * small.mass
-        bundles.append(
-            WitnessBundle(
-                label, "small", per_fold, True, request,
-                "mass", tuple((b, bound) for b in folds),
-            )
-        )
+        bundles.append(_bundle(
+            label, P, small.patterns, tree_out,
+            ((b, witness) for b in folds), ((b, bound) for b in folds),
+        ))
     prov = Provenance(
         "build_splitting_null",
         (
@@ -856,10 +792,6 @@ def simplify_e_cover(chain: ClosedNullChain) -> ECover:
     return ECover(Partition(tuple(blocks)), tuple(patterns), 0)
 
 
-def _triple_ranges(fine_count: int) -> list[tuple[int, int]]:
-    return [(3 * n, 3 * n + 3) for n in range(fine_count // 3)]
-
-
 def shrink_silver_e(
     E: ECover, T: SilverTree, folds: Sequence[int] = DEFAULT_FOLDS
 ) -> ShrinkResult:
@@ -868,55 +800,27 @@ def shrink_silver_e(
     folds = _clean_folds(folds)
     if E.horizon != T.horizon:
         raise ValueError("cover and tree horizons differ")
-    fine = E.partition
-    ranges = _triple_ranges(len(fine))
-    if not ranges:
+    if len(E.partition) < 3:
         raise ValueError("need at least three blocks to form triples")
-    triples = Partition(
-        tuple(Block(fine[lo].lo, fine[hi - 1].hi) for lo, hi in ranges)
-    )
-    warnings = []
-    dropped = len(fine) - ranges[-1][1]
-    if dropped:
-        warnings.append(
-            f"dropped {dropped} trailing fine block(s) not filling a triple"
-        )
+    ranges, triples, warnings = _group(E.partition, itertools.repeat(3), "triple")
 
-    selected = []
-    for blk in triples.blocks:
-        hits = sorted(i for i in T.free if i in blk)
-        if hits:
-            selected.append(hits[0])
+    selected = _least_free(T.free, triples)
     if not selected:
         warnings.append("no free coordinates selected; tree body is a single branch")
     tree_out = SilverTree(T.x, frozenset(selected))
 
     threshold = min(-(-E.threshold // 3), len(triples))
-    witness_patterns = []
-    for k, blk in enumerate(triples.blocks):
-        lo, hi = ranges[k]
-        prod = block_product([E.patterns[j] for j in range(lo, hi)])
-        xw = restrict(T.x, blk).value
-        unit = indicator_word(blk, [a for a in selected if a in blk]).value
-        translates = PatternSet(
-            blk, frozenset({0, xw, unit, xw ^ unit})
+    witness = ECover(triples, tuple(
+        _four_translates(
+            block_product(E.patterns[lo:hi]),
+            restrict(T.x, blk).value,
+            indicator_word(blk, selected).value,
         )
-        witness_patterns.append(pattern_sum(prod, translates))
-    witness = ECover(triples, tuple(witness_patterns), threshold)
-
-    per_fold = tuple((b, witness) for b in folds)
-    source = tuple(
-        block_product([_e_or_full(E, j) for j in range(lo, hi)])
-        for lo, hi in ranges
-    )
-    request = CertificateRequest(
-        "e", triples, source, silver_to_prefix(tree_out),
-        tuple((b, witness.patterns) for b in folds),
-        tuple((b, threshold) for b in folds),
-    )
-    bundle = WitnessBundle(
-        "e", "e", per_fold, True, request,
-        "max_density", tuple((b, Fraction(1, 2)) for b in folds),
+        for blk, (lo, hi) in zip(triples, ranges)
+    ), threshold)
+    bundle = _bundle(
+        "e", triples, _source(E, ranges), silver_to_prefix(tree_out),
+        ((b, witness) for b in folds),
     )
     prov = Provenance(
         "shrink_silver_e",
@@ -943,62 +847,28 @@ def shrink_perfect_e(
         raise ValueError("cover and tree horizons differ")
     if not classify(T).perfect:
         raise ValueError("input tree is not perfect at its horizon")
-    fine = E.partition
-    ranges = _super_ranges(len(fine))
-    G = len(ranges) - 1
-    supers = Partition(
-        tuple(Block(fine[lo].lo, fine[hi - 1].hi) for lo, hi in ranges)
-    )
-    warnings = []
-    dropped = len(fine) - ranges[-1][1]
-    if dropped:
-        warnings.append(
-            f"dropped {dropped} trailing fine block(s) not filling a super-block"
-        )
+    ranges, supers, warnings = _group(E.partition, _super_sizes(), "super-block")
 
-    allowance = []
-    for d in range(T.horizon):
-        if d >= supers.horizon:
-            allowance.append(G + 1)
-        else:
-            allowance.append(next(n for n in range(len(supers)) if d < supers[n].hi))
+    allowance = [
+        supers.index_of(d) if d < supers.horizon else len(supers)
+        for d in range(T.horizon)
+    ]
     tree_out = _prune_split_budget(T, allowance, uniform)
     warnings.extend(_perfect_warning(tree_out))
 
-    base = next(
-        (n for n in range(len(ranges)) if ranges[n][0] >= E.threshold),
-        len(ranges),
+    base = sum(lo < E.threshold for lo, _ in ranges)
+    witness_patterns = tuple(
+        pattern_sum(
+            block_product(E.patterns[lo:hi]),
+            _fold_union(tree_restrict(tree_out, blk), n),
+        )
+        for n, (blk, (lo, hi)) in enumerate(zip(supers, ranges))
     )
-    witness_patterns = []
-    for n, blk in enumerate(supers.blocks):
-        lo, hi = ranges[n]
-        prod = block_product([E.patterns[j] for j in range(lo, hi)])
-        witness_patterns.append(
-            pattern_sum(prod, _fold_union(tree_restrict(tree_out, blk), n))
-        )
     per_fold = tuple(
-        (
-            b,
-            ECover(
-                supers, tuple(witness_patterns),
-                min(max(b, base), len(supers)),
-            ),
-        )
+        (b, ECover(supers, witness_patterns, min(max(b, base), len(supers))))
         for b in folds
     )
-    source = tuple(
-        block_product([_e_or_full(E, j) for j in range(lo, hi)])
-        for lo, hi in ranges
-    )
-    request = CertificateRequest(
-        "e", supers, source, tree_out,
-        tuple((b, cover.patterns) for b, cover in per_fold),
-        tuple((b, cover.threshold) for b, cover in per_fold),
-    )
-    bundle = WitnessBundle(
-        "e", "e", per_fold, _uniform(per_fold), request,
-        "max_density", tuple((b, Fraction(1, 2)) for b in folds),
-    )
+    bundle = _bundle("e", supers, _source(E, ranges), tree_out, per_fold)
     prov = Provenance(
         "shrink_perfect_e",
         (
@@ -1017,75 +887,39 @@ def build_splitting_e(
     """Fresh splitting tree constant off one chosen coordinate per triple;
     witnesses absorb the four constant-or-flip translations."""
     folds = _clean_folds(folds)
-    fine = E.partition
     H = E.horizon
-    ranges = _triple_ranges(len(fine))
-    if not ranges:
+    if len(E.partition) < 3:
         raise ValueError("need at least three blocks to form triples")
-    triples = Partition(
-        tuple(Block(fine[lo].lo, fine[hi - 1].hi) for lo, hi in ranges)
-    )
-    warnings = []
-    dropped = len(fine) - ranges[-1][1]
-    if dropped:
-        warnings.append(
-            f"dropped {dropped} trailing fine block(s) not filling a triple"
-        )
+    ranges, triples, warnings = _group(E.partition, itertools.repeat(3), "triple")
 
     # default sparse set: the first coordinate of each fine block, thinned
     # to its least representative per triple
-    A = [fine[lo].lo for lo, _ in ranges]
+    A = [blk.lo for blk in triples]
     full_block = Block(0, H)
     masks = [
         indicator_word(
             full_block,
             [i for i in range(blk.lo, blk.hi) if i != a],
         ).value
-        for blk, a in zip(triples.blocks, A)
+        for blk, a in zip(triples, A)
     ]
     units = [indicator_word(full_block, [a]).value for a in A]
     tail = H - triples.horizon
-    leaves = set()
-    for consts in itertools.product((0, 1), repeat=len(A)):
-        base = 0
-        for c, m in zip(consts, masks):
-            if c:
-                base |= m
-        for bits in itertools.product((0, 1), repeat=len(A)):
-            v = base
-            for bit, m in zip(bits, units):
-                if bit:
-                    v |= m
-            for tail_bits in range(1 << tail):
-                leaves.add(v | tail_bits)
-    tree_out = PrefixTree(H, frozenset(leaves))
+    tree_out = PrefixTree(H, frozenset(
+        v | tail_bits
+        for v in _subset_ors(masks + units)
+        for tail_bits in range(1 << tail)
+    ))
 
     threshold = min(-(-E.threshold // 3), len(triples))
-    witness_patterns = []
-    for k, blk in enumerate(triples.blocks):
-        lo, hi = ranges[k]
-        prod = block_product([E.patterns[j] for j in range(lo, hi)])
-        ones = blk.mask
-        unit = indicator_word(blk, [A[k]]).value
-        translates = PatternSet(
-            blk, frozenset({0, ones, unit, ones ^ unit})
+    witness = ECover(triples, tuple(
+        _four_translates(
+            block_product(E.patterns[lo:hi]), blk.mask, indicator_word(blk, [a]).value
         )
-        witness_patterns.append(pattern_sum(prod, translates))
-    witness = ECover(triples, tuple(witness_patterns), threshold)
-
-    per_fold = tuple((b, witness) for b in folds)
-    source = tuple(
-        block_product([_e_or_full(E, j) for j in range(lo, hi)])
-        for lo, hi in ranges
-    )
-    request = CertificateRequest(
-        "e", triples, source, tree_out,
-        tuple((b, witness.patterns) for b in folds),
-        tuple((b, threshold) for b in folds),
-    )
-    bundle = WitnessBundle(
-        "e", "e", per_fold, True, request,
-        "max_density", tuple((b, Fraction(1, 2)) for b in folds),
+        for blk, a, (lo, hi) in zip(triples, A, ranges)
+    ), threshold)
+    bundle = _bundle(
+        "e", triples, _source(E, ranges), tree_out, ((b, witness) for b in folds)
     )
     prov = Provenance(
         "build_splitting_e",

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bits import Partition, PatternSet, Point, density, restrict
+from .bits import Partition, PatternSet, Point, restrict
 from .trees import PrefixTree
 
 log = logging.getLogger(__name__)
@@ -89,11 +89,7 @@ class SmallCover:
 
     @property
     def mass(self) -> Fraction:
-        return sum((density(J) for J in self.patterns), Fraction(0))
-
-
-def small_mass(C: SmallCover) -> Fraction:
-    return C.mass
+        return sum((J.density for J in self.patterns), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def e_member(C: ECover, p: Point) -> bool:
 
 
 def e_density_audit(C: ECover) -> tuple[Fraction, bool]:
-    worst = max((density(J) for J in C.patterns), default=Fraction(0))
+    worst = max((J.density for J in C.patterns), default=Fraction(0))
     return worst, worst <= Fraction(1, 2)
 
 
@@ -157,13 +153,13 @@ def strict_e_to_simple(C: ECover) -> ECover:
     members.
     """
     for n, J in enumerate(C.patterns):
-        if density(J) > Fraction(1, 2**n):
+        if J.density > Fraction(1, 2**n):
             raise ValueError(
                 f"geometric bound violated at block {n}: "
-                f"density {density(J)} > 1/2^{n}"
+                f"density {J.density} > 1/2^{n}"
             )
     threshold = C.threshold
-    if C.patterns and density(C.patterns[0]) > Fraction(1, 2):
+    if C.patterns and C.patterns[0].density > Fraction(1, 2):
         threshold = max(threshold, 1)
         log.debug("block 0 density above 1/2, starting at block 1")
     patterns = tuple(

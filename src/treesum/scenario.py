@@ -28,7 +28,9 @@ from .covers import (
     Stage,
     e_density_audit,
 )
+# the operations are called by name through _OPS, see _run_request
 from .constructions import (
+    DEFAULT_FOLDS,
     ShrinkResult,
     build_splitting_e,
     build_splitting_meager,
@@ -45,6 +47,7 @@ from .constructions import (
     simplify_e_cover,
 )
 from .oracle import (
+    DEFAULT_HORIZON_CAP,
     BudgetExceeded,
     certify_request,
     density_audit_table,
@@ -89,8 +92,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RunFlags:
-    folds: tuple[int, ...] = (0, 1, 2, 3)
-    horizon_cap: int = 14
+    folds: tuple[int, ...] = DEFAULT_FOLDS
+    horizon_cap: int = DEFAULT_HORIZON_CAP
     exhaustive: bool = True
     deterministic: bool = False
 
@@ -152,6 +155,8 @@ def _ref(table: dict, name, kind: str, where: str):
 
 def _load_tree(name: str, spec, scn_points, scn_sets, horizon: int):
     where = f"tree {name!r}"
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{where}: expected an object")
     kind = spec.get("kind")
     if kind == "silver":
         x = _ref(scn_points, spec.get("x"), "point", where)
@@ -198,6 +203,8 @@ def _load_patterns(partition: Partition, raw, where: str) -> tuple[PatternSet, .
 
 def _load_cover(name: str, spec, scn, horizon: int):
     where = f"cover {name!r}"
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{where}: expected an object")
     kind = spec.get("kind")
     try:
         if kind == "meager":
@@ -241,59 +248,101 @@ def _load_cover(name: str, spec, scn, horizon: int):
     raise ScenarioError(f"{where}: unknown cover kind {kind!r}")
 
 
-_REQUEST_ARGS = {
-    "shrink_silver_meager": (("cover", MeagerCover), ("tree", SilverTree)),
-    "shrink_perfect_meager": (("cover", MeagerCover), ("tree", PrefixTree)),
-    "build_splitting_meager": (("cover", MeagerCover),),
-    "shrink_silver_small": (("cover", SmallCover), ("tree", SilverTree)),
-    "shrink_silver_null": (("cover", NullCover), ("tree", SilverTree)),
-    "shrink_perfect_small": (("cover", SmallCover), ("tree", PrefixTree)),
-    "shrink_perfect_null": (("cover", NullCover), ("tree", PrefixTree)),
-    "build_splitting_null": (("cover", NullCover),),
-    "shrink_mn": (
-        ("meager", MeagerCover),
-        ("null", NullCover),
-        ("tree", (SilverTree, PrefixTree)),
+# Per operation: its arguments in call order, each a scenario reference
+# (request key, accepted types), the request field "uniform" or "kind", or
+# the run's "folds"; and the bundle labels that admit a point-level check,
+# mapped to the argument holding their source cover.  The callable is looked
+# up by name when a request runs, so rebinding a module attribute reaches it.
+_OPS = {
+    "shrink_silver_meager": (
+        (("cover", MeagerCover), ("tree", SilverTree), "folds"), {"meager": "cover"},
     ),
-    "simplify_e_cover": (("chain", ClosedNullChain),),
-    "shrink_silver_e": (("cover", ECover), ("tree", SilverTree)),
-    "shrink_perfect_e": (("cover", ECover), ("tree", PrefixTree)),
-    "build_splitting_e": (("cover", ECover),),
+    "shrink_perfect_meager": (
+        (("cover", MeagerCover), ("tree", PrefixTree), "uniform", "folds"),
+        {"meager": "cover"},
+    ),
+    "build_splitting_meager": (
+        (("cover", MeagerCover), "folds"), {"meager": "cover"},
+    ),
+    "shrink_silver_small": (
+        (("cover", SmallCover), ("tree", SilverTree), "folds"), {},
+    ),
+    "shrink_silver_null": (
+        (("cover", NullCover), ("tree", SilverTree), "folds"), {},
+    ),
+    "shrink_perfect_small": (
+        (("cover", SmallCover), ("tree", PrefixTree), "uniform", "folds"), {},
+    ),
+    "shrink_perfect_null": (
+        (("cover", NullCover), ("tree", PrefixTree), "uniform", "folds"), {},
+    ),
+    "build_splitting_null": ((("cover", NullCover), "folds"), {}),
+    "shrink_mn": (
+        (
+            ("meager", MeagerCover),
+            ("null", NullCover),
+            ("tree", (SilverTree, PrefixTree)),
+            "kind",
+            "folds",
+        ),
+        {"meager": "meager"},
+    ),
+    "simplify_e_cover": ((("chain", ClosedNullChain),), {}),
+    "shrink_silver_e": (
+        (("cover", ECover), ("tree", SilverTree), "folds"), {"e": "cover"},
+    ),
+    "shrink_perfect_e": (
+        (("cover", ECover), ("tree", PrefixTree), "uniform", "folds"),
+        {"e": "cover"},
+    ),
+    "build_splitting_e": ((("cover", ECover), "folds"), {"e": "cover"}),
 }
 
-_UNIFORM_OPS = {"shrink_perfect_meager", "shrink_perfect_small",
-                "shrink_perfect_null", "shrink_perfect_e"}
+
+def _load_folds(raw, where: str) -> tuple[int, ...]:
+    if (
+        not isinstance(raw, list)
+        or not raw
+        or any(type(b) is not int or b < 0 for b in raw)
+    ):
+        raise ScenarioError(
+            f"{where}: folds must be a nonempty list of nonnegative integers, "
+            f"got {raw!r}"
+        )
+    return tuple(raw)
 
 
 def _load_request(i: int, spec, trees: dict, covers: dict) -> Request:
     where = f"request {i}"
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{where}: expected an object")
     op = spec.get("op")
-    if op not in _REQUEST_ARGS:
+    if op not in _OPS:
         raise ScenarioError(f"{where}: unknown operation name {op!r}")
     args = {}
-    for key, want in _REQUEST_ARGS[op]:
-        table = trees if key == "tree" else covers
-        obj = _ref(table, spec.get(key), key, where)
-        if not isinstance(obj, want):
-            wanted = (
-                " or ".join(w.__name__ for w in want)
-                if isinstance(want, tuple)
-                else want.__name__
-            )
-            raise ScenarioError(
-                f"{where}: {key} {spec.get(key)!r} is not a {wanted}"
-            )
-        args[key] = obj
-    if op in _UNIFORM_OPS:
-        args["uniform"] = bool(spec.get("uniform", False))
-    if op == "shrink_mn":
-        kind = spec.get("kind")
-        if kind not in ("silver", "perfect", "uniform"):
-            raise ScenarioError(f"{where}: unknown kind {kind!r}")
-        args["kind"] = kind
-    folds = None
-    if "folds" in spec:
-        folds = tuple(int(b) for b in spec["folds"])
+    for arg in _OPS[op][0]:
+        if arg == "uniform":
+            args[arg] = bool(spec.get("uniform", False))
+        elif arg == "kind":
+            kind = spec.get("kind")
+            if kind not in ("silver", "perfect", "uniform"):
+                raise ScenarioError(f"{where}: unknown kind {kind!r}")
+            args[arg] = kind
+        elif arg != "folds":
+            key, want = arg
+            table = trees if key == "tree" else covers
+            obj = _ref(table, spec.get(key), key, where)
+            if not isinstance(obj, want):
+                wanted = (
+                    " or ".join(w.__name__ for w in want)
+                    if isinstance(want, tuple)
+                    else want.__name__
+                )
+                raise ScenarioError(
+                    f"{where}: {key} {spec.get(key)!r} is not a {wanted}"
+                )
+            args[key] = obj
+    folds = _load_folds(spec["folds"], where) if "folds" in spec else None
     tamper = None
     if "tamper" in spec:
         t = spec["tamper"]
@@ -324,7 +373,10 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     if "horizon" not in raw:
         raise ScenarioError("scenario is missing 'horizon'")
-    horizon = int(raw["horizon"])
+    try:
+        horizon = int(raw["horizon"])
+    except (TypeError, ValueError):
+        raise ScenarioError(f"bad horizon {raw['horizon']!r}") from None
     if horizon <= 0:
         raise ScenarioError(f"bad horizon {horizon}")
     name = str(raw.get("name", name_hint))
@@ -372,53 +424,7 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
 # running
 
 def list_ops() -> tuple[str, ...]:
-    return tuple(sorted(_REQUEST_ARGS))
-
-
-def _run_op(req: Request, folds: tuple[int, ...]):
-    a = req.args
-    op = req.op
-    if op == "shrink_silver_meager":
-        return shrink_silver_meager(a["cover"], a["tree"], folds=folds)
-    if op == "shrink_perfect_meager":
-        return shrink_perfect_meager(a["cover"], a["tree"], a["uniform"], folds)
-    if op == "build_splitting_meager":
-        return build_splitting_meager(a["cover"], folds=folds)
-    if op == "shrink_silver_small":
-        return shrink_silver_small(a["cover"], a["tree"], folds=folds)
-    if op == "shrink_silver_null":
-        return shrink_silver_null(a["cover"], a["tree"], folds=folds)
-    if op == "shrink_perfect_small":
-        return shrink_perfect_small(a["cover"], a["tree"], a["uniform"], folds)
-    if op == "shrink_perfect_null":
-        return shrink_perfect_null(a["cover"], a["tree"], a["uniform"], folds)
-    if op == "build_splitting_null":
-        return build_splitting_null(a["cover"], folds=folds)
-    if op == "shrink_mn":
-        return shrink_mn(a["meager"], a["null"], a["tree"], a["kind"], folds)
-    if op == "simplify_e_cover":
-        return simplify_e_cover(a["chain"])
-    if op == "shrink_silver_e":
-        return shrink_silver_e(a["cover"], a["tree"], folds=folds)
-    if op == "shrink_perfect_e":
-        return shrink_perfect_e(a["cover"], a["tree"], a["uniform"], folds)
-    if op == "build_splitting_e":
-        return build_splitting_e(a["cover"], folds=folds)
-    raise ScenarioError(f"unknown operation name {op!r}")
-
-
-def _point_sources(req: Request) -> dict:
-    """Which witness bundles admit point-level membership tests, and the
-    source cover to test against."""
-    a = req.args
-    if req.op in ("shrink_silver_meager", "shrink_perfect_meager",
-                  "build_splitting_meager"):
-        return {"meager": a["cover"]}
-    if req.op in ("shrink_silver_e", "shrink_perfect_e", "build_splitting_e"):
-        return {"e": a["cover"]}
-    if req.op == "shrink_mn":
-        return {"meager": a["meager"]}
-    return {}
+    return tuple(sorted(_OPS))
 
 
 def _apply_tamper(request_obj, tamper: Tamper):
@@ -489,7 +495,7 @@ def _certificate_entry(cert: Certificate) -> dict:
 
 
 def _witness_entries(result, req, flags, tampered_label):
-    sources = _point_sources(req)
+    sources = {label: req.args[key] for label, key in _OPS[req.op][1].items()}
     prefix = result.tree_as_prefix()
     entries = []
     request_pass = True
@@ -568,11 +574,15 @@ def _run_request(i: int, req: Request, flags: RunFlags) -> tuple[dict, bool]:
     folds = req.folds if req.folds is not None else flags.folds
     entry = {"index": i, "op": req.op}
     t0 = time.perf_counter()
+    names = (arg if isinstance(arg, str) else arg[0] for arg in _OPS[req.op][0])
+    call_args = [folds if name == "folds" else req.args[name] for name in names]
     try:
-        result = _run_op(req, folds)
+        result = globals()[req.op](*call_args)
     except BudgetExceeded as err:
         entry["error"] = f"oracle budget exceeded: {err}"
         return entry, False
+    except ValueError as err:
+        raise ScenarioError(f"request {i} ({req.op}): {err}") from None
     if isinstance(result, ECover):
         value, ok = e_density_audit(result)
         entry["cover"] = {

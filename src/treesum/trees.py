@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from treesum.bits import Block, PatternSet, Point, Word, restrict
+from treesum.bits import _MAX_FULL_LENGTH, Block, PatternSet, Point, Word, restrict
 
 log = logging.getLogger(__name__)
 
@@ -94,7 +94,7 @@ class PrefixTree:
 
     @classmethod
     def full(cls, horizon: int) -> "PrefixTree":
-        if horizon > 20:
+        if horizon > _MAX_FULL_LENGTH:
             raise ValueError(f"refusing to materialize 2^{horizon} leaves")
         return cls(horizon, frozenset(range(1 << horizon)))
 

@@ -22,7 +22,6 @@ from treesum.bits import (
     Word,
     block_product,
     coarsen,
-    density,
     indicator_word,
     ones_word,
     pattern_sum,
@@ -30,7 +29,6 @@ from treesum.bits import (
     point_of_word,
     restrict,
     unit_word,
-    xor_add,
     zero_word,
 )
 
@@ -127,7 +125,7 @@ class TestWord:
         block = Block(1, 5)
         for a in s_all(4):
             for b in s_all(4):
-                got = xor_add(Word.from_bits(a, block), Word.from_bits(b, block))
+                got = Word.from_bits(a, block) ^ Word.from_bits(b, block)
                 assert got.bits() == s_xor(a, b)
 
     def test_xor_rejects_block_mismatch(self):
@@ -199,8 +197,8 @@ class TestPatternSet:
     def test_density(self):
         J = PatternSet.from_bits(Block(2, 5), ["010", "111"])
         assert J.density == Fraction(1, 4)
-        assert density(PatternSet.full(Block(0, 2))) == 1
-        assert density(PatternSet.empty(Block(0, 2))) == 0
+        assert PatternSet.full(Block(0, 2)).density == 1
+        assert PatternSet.empty(Block(0, 2)).density == 0
 
     def test_membership(self):
         J = PatternSet.from_bits(Block(0, 2), ["01"])

@@ -18,7 +18,6 @@ from treesum.covers import (
     e_density_audit,
     e_member,
     meager_member,
-    small_mass,
     strict_e_to_simple,
 )
 from treesum.trees import PrefixTree
@@ -93,16 +92,16 @@ class TestSmallCover:
     def test_mass_example(self):
         P = Partition.from_lengths([1, 2, 3, 4])
         J = patterns_on(P, ["0"], ["01"], ["010"], ["0101"])
-        assert small_mass(SmallCover(P, J)) == Fraction(15, 16)
+        assert SmallCover(P, J).mass == Fraction(15, 16)
 
     def test_mass_extremes(self):
         P = Partition.from_lengths([2, 2])
         empty = SmallCover(P, patterns_on(P, [], []))
-        assert small_mass(empty) == 0
+        assert empty.mass == 0
         full = SmallCover(
             P, tuple(PatternSet.full(b) for b in P.blocks)
         )
-        assert small_mass(full) == 2
+        assert full.mass == 2
 
     def test_block_alignment_checked(self):
         P = Partition.from_lengths([2, 2])

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import inspect
 import json
+import typing
 from pathlib import Path
 
 import pytest
 
+import treesum.constructions as constructions_mod
 import treesum.scenario as scenario_mod
+from treesum.cli import EXIT_INPUT, main
 from treesum.covers import ECover, MeagerCover, NullCover, SmallCover
 from treesum.oracle import BudgetExceeded
 from treesum.scenario import (
@@ -161,6 +165,32 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="no requests"):
             load_scenario(write_scenario(tmp_path, doc))
 
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda d: d["requests"][0].update(folds=["x"]),
+                     "request 0: folds must be", id="folds-not-int"),
+        pytest.param(lambda d: d["requests"][0].update(folds=[-1]),
+                     "request 0: folds must be", id="folds-negative"),
+        pytest.param(lambda d: d["requests"][0].update(folds=[]),
+                     "request 0: folds must be", id="folds-empty"),
+        pytest.param(lambda d: d["requests"][0].update(folds=3),
+                     "request 0: folds must be", id="folds-not-list"),
+        pytest.param(lambda d: d.update(horizon="abc"),
+                     "bad horizon 'abc'", id="horizon-not-int"),
+        pytest.param(lambda d: d.update(requests=["x"]),
+                     "request 0: expected an object", id="request-not-object"),
+        pytest.param(lambda d: d["trees"].update(t=5),
+                     "tree 't': expected an object", id="tree-not-object"),
+        pytest.param(lambda d: d["covers"].update(c=5),
+                     "cover 'c': expected an object", id="cover-not-object"),
+    ])
+    def test_malformed_field_is_an_input_error(self, tmp_path, capsys,
+                                               mutate, message):
+        doc = golden_doc("silver-meager")
+        mutate(doc)
+        code = main(["run", str(write_scenario(tmp_path, doc))])
+        assert code == EXIT_INPUT
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_bad_rational_in_chain(self):
         doc = golden_doc("chain-simplify")
         doc["covers"]["C"]["stages"][0]["measure"] = "one eighth"
@@ -233,6 +263,18 @@ class TestRunning:
         report = run(scn, RunFlags(deterministic=True))
         assert not report.passed
         assert "oracle budget exceeded" in report.data["requests"][0]["error"]
+
+    def test_construction_precondition_is_an_input_error(self):
+        doc = golden_doc("perfect-e")
+        doc["trees"]["Q"] = {"kind": "prefix", "leaves": ["0" * 12]}
+        with pytest.raises(ScenarioError, match=r"request 0 \(shrink_perfect_e\): "
+                           "input tree is not perfect"):
+            run(parse_scenario(json.dumps(doc)), RunFlags(deterministic=True))
+        doc = golden_doc("meager-null-combo")
+        doc["requests"][0]["kind"] = "perfect"
+        with pytest.raises(ScenarioError, match=r"request 0 \(shrink_mn\): "
+                           "perfect kind needs an explicit prefix tree"):
+            run(parse_scenario(json.dumps(doc)), RunFlags(deterministic=True))
 
     def test_chain_report_shape(self):
         report = run(load_bundled("chain-simplify"), RunFlags(deterministic=True))
@@ -315,3 +357,31 @@ class TestOps:
         assert len(ops) == 13
         assert "shrink_silver_meager" in ops
         assert "simplify_e_cover" in ops
+
+    def test_op_table_matches_construction_signatures(self):
+        for op, (args, _) in scenario_mod._OPS.items():
+            fn = getattr(constructions_mod, op)
+            params = list(inspect.signature(fn, eval_str=True).parameters.values())
+            positional = [p for p in params if p.default is inspect.Parameter.empty]
+            assert len(args) <= len(params), op
+            assert len(positional) <= len(args), op
+            for arg, param in zip(args, params):
+                if isinstance(arg, str):
+                    assert param.name == arg, op
+                else:
+                    _, want = arg
+                    want = want if isinstance(want, tuple) else (want,)
+                    got = typing.get_args(param.annotation) or (param.annotation,)
+                    assert set(got) == set(want), (op, param.name)
+
+    def test_point_check_labels_are_emitted_bundle_labels(self):
+        emitted: dict[str, set[str]] = {}
+        for name in GOLDEN_NAMES:
+            report = run(load_bundled(name), RunFlags(exhaustive=False,
+                                                      deterministic=True))
+            for entry in report.data["requests"]:
+                emitted.setdefault(entry["op"], set()).update(
+                    w["label"] for w in entry.get("witnesses", ()))
+        for op, (_, points) in scenario_mod._OPS.items():
+            assert op in emitted, op
+            assert set(points) <= emitted[op], op
