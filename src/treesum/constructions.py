@@ -39,8 +39,8 @@ from .oracle import pattern_nfold
 from .trees import (
     PrefixTree,
     SilverTree,
-    classify,
     first_splitting_node,
+    is_perfect,
     leftmost_leaf,
     silver_to_prefix,
     tree_restrict,
@@ -311,7 +311,7 @@ def shrink_perfect_meager(
     folds = _clean_folds(folds)
     if F.horizon != T.horizon:
         raise ValueError("cover and tree horizons differ")
-    if not classify(T).perfect:
+    if not is_perfect(T):
         raise ValueError("input tree is not perfect at its horizon")
     fine = F.partition
     ranges, supers, warnings = _group(fine, _super_sizes(), "super-block")
@@ -557,7 +557,7 @@ def _prune_split_budget(
 
 
 def _perfect_warning(pruned: PrefixTree) -> list[str]:
-    if classify(pruned).perfect:
+    if is_perfect(pruned):
         return []
     deepest = max(
         (d for d in range(pruned.horizon) if pruned.splits_at(d)), default=-1
@@ -584,7 +584,7 @@ def shrink_perfect_small(
     folds = _clean_folds(folds)
     if F.horizon != T.horizon:
         raise ValueError("cover and tree horizons differ")
-    if require_perfect and not classify(T).perfect:
+    if require_perfect and not is_perfect(T):
         raise ValueError("input tree is not perfect at its horizon")
     P = F.partition
     masses = [J.density for J in F.patterns]
@@ -845,7 +845,7 @@ def shrink_perfect_e(
     folds = _clean_folds(folds)
     if E.horizon != T.horizon:
         raise ValueError("cover and tree horizons differ")
-    if not classify(T).perfect:
+    if not is_perfect(T):
         raise ValueError("input tree is not perfect at its horizon")
     ranges, supers, warnings = _group(E.partition, _super_sizes(), "super-block")
 

@@ -147,6 +147,15 @@ def _load_partition(name: str, spec, horizon: int) -> Partition:
     return part
 
 
+def _section(raw: dict, key: str, kind: type):
+    """A top-level section, empty when absent; `kind` is dict or list."""
+    value = raw.get(key, kind())
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ScenarioError(f"section {key!r}: expected {shape}")
+    return value
+
+
 def _ref(table: dict, name, kind: str, where: str):
     if name not in table:
         raise ScenarioError(f"{where}: unresolved {kind} reference {name!r}")
@@ -383,10 +392,10 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
 
     partitions = {
         str(k): _load_partition(k, v, horizon)
-        for k, v in raw.get("partitions", {}).items()
+        for k, v in _section(raw, "partitions", dict).items()
     }
     points = {}
-    for k, v in raw.get("points", {}).items():
+    for k, v in _section(raw, "points", dict).items():
         s = _bit_string(v, f"point {k!r}")
         if len(s) != horizon:
             raise ScenarioError(
@@ -394,8 +403,13 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
             )
         points[str(k)] = Point.from_bits(s)
     index_sets = {}
-    for k, v in raw.get("index_sets", {}).items():
-        coords = frozenset(int(i) for i in v)
+    for k, v in _section(raw, "index_sets", dict).items():
+        try:
+            coords = frozenset(int(i) for i in v)
+        except (TypeError, ValueError):
+            raise ScenarioError(
+                f"index set {k!r}: expected a list of integer coordinates"
+            ) from None
         if any(i < 0 or i >= horizon for i in coords):
             raise ScenarioError(
                 f"index set {k!r}: coordinate out of range [0, {horizon})"
@@ -403,14 +417,14 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         index_sets[str(k)] = coords
     trees = {
         str(k): _load_tree(k, v, points, index_sets, horizon)
-        for k, v in raw.get("trees", {}).items()
+        for k, v in _section(raw, "trees", dict).items()
     }
     scn = {"partitions": partitions, "points": points, "covers": {}}
-    for k, v in raw.get("covers", {}).items():
+    for k, v in _section(raw, "covers", dict).items():
         scn["covers"][str(k)] = _load_cover(k, v, scn, horizon)
     requests = tuple(
         _load_request(i, spec, trees, scn["covers"])
-        for i, spec in enumerate(raw.get("requests", ()))
+        for i, spec in enumerate(_section(raw, "requests", list))
     )
     if not requests:
         raise ScenarioError("scenario has no requests")

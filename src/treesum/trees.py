@@ -132,12 +132,12 @@ class PrefixTree:
 
     @cached_property
     def levels(self) -> tuple[frozenset[int], ...]:
-        """levels[d] = packed values of the length-d nodes."""
-        out = []
-        for d in range(self.horizon + 1):
-            shift = self.horizon - d
-            out.append(frozenset(v >> shift for v in self.leaves))
-        return tuple(out)
+        """levels[d] = packed values of the length-d nodes, built bottom-up:
+        each level holds the parents of the level below."""
+        out = [self.leaves]
+        for _ in range(self.horizon):
+            out.append(frozenset(v >> 1 for v in out[-1]))
+        return tuple(reversed(out))
 
     def contains_node(self, bits: str) -> bool:
         if bits == "":
@@ -198,19 +198,20 @@ class KindFlags:
     splitting_at_horizon: bool
 
 
-def _has_split_extension(T: PrefixTree) -> dict[tuple[int, int], bool]:
-    """For each node, whether some descendant-or-self splits."""
-    out: dict[tuple[int, int], bool] = {}
-    for v in T.levels[T.horizon]:
-        out[(T.horizon, v)] = False
+def is_perfect(T: PrefixTree) -> bool:
+    """Whether every node at the deepest splitting level splits.
+
+    A node has one or two children, so depth d holds
+    len(levels[d+1]) - len(levels[d]) splitting nodes.  Scanning up from the
+    leaves, the first level with a split is the deepest one, and every node
+    there splits iff the level below is twice as large.  Every shallower node
+    has a descendant at that level, so this is classify's `perfect`.
+    """
+    levels = T.levels
     for d in range(T.horizon - 1, -1, -1):
-        splits = T.splits_at(d)
-        for v in T.levels[d]:
-            flag = v in splits
-            if not flag:
-                flag = any(out[(d + 1, c)] for c in T.children(d, v))
-            out[(d, v)] = flag
-    return out
+        if len(levels[d + 1]) != len(levels[d]):
+            return len(levels[d + 1]) == 2 * len(levels[d])
+    return False
 
 
 def splitting_defect(T: PrefixTree) -> int:
@@ -237,26 +238,23 @@ def splitting_thresholds(T: PrefixTree) -> dict[str, int]:
 def _defect_items(T: PrefixTree) -> Iterator[tuple[tuple[int, int], int]]:
     H = T.horizon
     full = (1 << H) - 1
-    ones: dict[tuple[int, int], int] = {}
-    zeros: dict[tuple[int, int], int] = {}
-    for leaf in T.leaves:
-        ones[(H, leaf)] = leaf
-        zeros[(H, leaf)] = ~leaf & full
-    for d in range(H - 1, -1, -1):
-        for v in T.levels[d]:
-            o = z = 0
-            for c in T.children(d, v):
-                o |= ones[(d + 1, c)]
-                z |= zeros[(d + 1, c)]
-            ones[(d, v)] = o
-            zeros[(d, v)] = z
-    for d in range(H + 1):
-        for v in T.levels[d]:
-            both = ones[(d, v)] & zeros[(d, v)]
-            worst = d - 1
-            for n in range(d, H):
-                if not (both >> (H - 1 - n)) & 1:
-                    worst = n
+    # node -> (OR of the leaves below it) << H | (OR of their complements),
+    # each level folded from the level below
+    masks = {v: v << H | ~v & full for v in T.leaves}
+    per_level = [masks]
+    for _ in range(H):
+        up: dict[int, int] = {}
+        for c, m in masks.items():
+            up[c >> 1] = up.get(c >> 1, 0) | m
+        masks = up
+        per_level.append(masks)
+    for d, masks in enumerate(reversed(per_level)):
+        # coordinate n >= d sits at bit H-1-n; the worst is the largest n not
+        # realized with both values, i.e. the lowest set bit of `missing`
+        window = (1 << (H - d)) - 1
+        for v, m in masks.items():
+            missing = ~(m >> H & m) & window
+            worst = H - (missing & -missing).bit_length() if missing else d - 1
             yield (d, v), worst - (d - 1)
 
 
@@ -266,27 +264,21 @@ def classify(T: PrefixTree, split_allowance: int | None = None) -> KindFlags:
     Perfection is judged relative to the deepest splitting level: a tree whose
     nodes all reach a splitting extension before splits run out entirely
     counts as perfect, even though nodes past the last split trivially cannot
-    split again before the horizon.  The splitting flag compares the worst
-    per-stem threshold against an allowance (default horizon // 2).
+    split again before the horizon.  The perfect, uniform and Silver flags are
+    read off the level sizes (see `is_perfect`): a level where no node splits
+    keeps its size and one where every node splits doubles it; Silver further
+    needs one child bit across each level without splits.  The splitting flag
+    compares the worst per-stem threshold against an allowance (default
+    horizon // 2) and is the only part that visits every node with per-node
+    masks; callers needing only perfection should call `is_perfect`.
     """
     if split_allowance is None:
         split_allowance = T.horizon // 2
-    split_levels = [T.splits_at(d) for d in range(T.horizon)]
-    deepest = max((d for d, s in enumerate(split_levels) if s), default=-1)
-    if deepest < 0:
-        perfect = False
-    else:
-        ext = _has_split_extension(T)
-        perfect = all(
-            ext[(d, v)] for d in range(deepest + 1) for v in T.levels[d]
-        )
-    uniform = perfect and all(
-        not split_levels[d] or split_levels[d] == T.levels[d]
-        for d in range(T.horizon)
-    )
-    silver = perfect and all(
-        len({frozenset(c & 1 for c in T.children(d, v)) for v in T.levels[d]}) == 1
-        for d in range(T.horizon)
+    steps = list(zip(T.levels, T.levels[1:]))
+    perfect = is_perfect(T)
+    uniform = perfect and all(len(b) in (len(a), 2 * len(a)) for a, b in steps)
+    silver = uniform and all(
+        len(b) == 2 * len(a) or len({c & 1 for c in b}) == 1 for a, b in steps
     )
     splitting = splitting_defect(T) <= split_allowance
     return KindFlags(perfect, uniform, silver, splitting)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import treesum.constructions as constructions_mod
+import treesum.trees as trees_mod
 from treesum.bits import Block, Partition, PatternSet, Point, restrict
 from treesum.covers import (
     ClosedNullChain,
@@ -629,6 +630,28 @@ class TestSplittingE:
         from dataclasses import replace
         bad = replace(req, targets=tuple(clipped))
         assert not certify_request(bad).passed
+
+
+class TestPerfectPreconditions:
+    def test_perfect_shrinks_never_run_the_full_classifier(self, monkeypatch):
+        # the precondition needs only is_perfect; classify and the per-node
+        # splitting defect would cost a pass with masks over every node
+        def full_classifier(*args, **kwargs):
+            raise AssertionError("full classifier called")
+
+        monkeypatch.setattr(constructions_mod, "classify", full_classifier,
+                            raising=False)
+        monkeypatch.setattr(trees_mod, "classify", full_classifier)
+        monkeypatch.setattr(trees_mod, "_defect_items", full_classifier)
+        T = PrefixTree.full(12)
+        F, _ = meager_fixture()
+        S, _ = small_fixture()
+        for res in (
+            shrink_perfect_meager(F, T),
+            shrink_perfect_e(e_fixture(), T),
+            shrink_perfect_small(S, T),
+        ):
+            assert is_subtree(res.tree_out, T)
 
 
 class TestFoldUnion:

@@ -182,6 +182,15 @@ class TestLoading:
                      "tree 't': expected an object", id="tree-not-object"),
         pytest.param(lambda d: d["covers"].update(c=5),
                      "cover 'c': expected an object", id="cover-not-object"),
+        pytest.param(lambda d: d.update(index_sets={"A": ["x"]}),
+                     "index set 'A': expected a list of integer coordinates",
+                     id="index-set-not-int"),
+        pytest.param(lambda d: d.update(requests=5),
+                     "section 'requests': expected a list",
+                     id="requests-not-list"),
+        pytest.param(lambda d: d.update(trees=[1]),
+                     "section 'trees': expected an object",
+                     id="trees-not-object"),
     ])
     def test_malformed_field_is_an_input_error(self, tmp_path, capsys,
                                                mutate, message):

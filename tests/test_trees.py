@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesum.bits import Block, Point
 from treesum.trees import (
@@ -18,6 +20,7 @@ from treesum.trees import (
     body,
     classify,
     first_splitting_node,
+    is_perfect,
     is_subtree,
     leftmost_leaf,
     silver_sum,
@@ -254,6 +257,140 @@ class TestSplittingDiagnostics:
         assert thresholds[""] == 1
         assert splitting_defect(T) == 2
         assert thresholds["00"] == 1  # a satisfied stem: defect 0 from length 2
+
+
+def ref_levels(T: PrefixTree) -> list[set[int]]:
+    return [{v >> (T.horizon - d) for v in T.leaves} for d in range(T.horizon + 1)]
+
+
+def ref_flags(T: PrefixTree) -> tuple[bool, bool, bool]:
+    """perfect, uniformly_perfect, silver by the per-node definitions: a
+    split-extension flag per node, and per-node child-bit patterns."""
+    H, levels = T.horizon, ref_levels(T)
+
+    def kids(d, v):
+        return [c for c in (2 * v, 2 * v + 1) if c in levels[d + 1]]
+
+    splits = [{v for v in levels[d] if len(kids(d, v)) == 2} for d in range(H)]
+    ext = {(H, v): False for v in levels[H]}
+    for d in range(H - 1, -1, -1):
+        for v in levels[d]:
+            ext[(d, v)] = v in splits[d] or any(ext[(d + 1, c)] for c in kids(d, v))
+    deepest = max((d for d in range(H) if splits[d]), default=-1)
+    perfect = deepest >= 0 and all(
+        ext[(d, v)] for d in range(deepest + 1) for v in levels[d]
+    )
+    uniform = perfect and all(not splits[d] or splits[d] == levels[d] for d in range(H))
+    silver = perfect and all(
+        len({frozenset(c & 1 for c in kids(d, v)) for v in levels[d]}) == 1
+        for d in range(H)
+    )
+    return perfect, uniform, silver
+
+
+def ref_thresholds(T: PrefixTree) -> dict[str, int]:
+    """Per stem, the last coordinate past it that its extensions do not
+    realize with both values (one less than the stem length if none)."""
+    H = T.horizon
+    ones: dict[tuple[int, int], int] = {}
+    zeros: dict[tuple[int, int], int] = {}
+    for leaf in T.leaves:
+        for d in range(H + 1):
+            key = (d, leaf >> (H - d))
+            ones[key] = ones.get(key, 0) | leaf
+            zeros[key] = zeros.get(key, 0) | (~leaf & ((1 << H) - 1))
+    out = {}
+    for (d, v), o in ones.items():
+        both = o & zeros[(d, v)]
+        worst = d - 1
+        for n in range(d, H):
+            if not (both >> (H - 1 - n)) & 1:
+                worst = n
+        out[format(v, f"0{d}b") if d else ""] = worst
+    return out
+
+
+@st.composite
+def leveled_trees(draw):
+    """Trees grown level by level: every node splits, every node takes the
+    same child bit, or each node picks its own children.  Uniform and Silver
+    trees come up often, and per-node levels break both."""
+    horizon = draw(st.integers(1, 9))
+    rng = draw(st.randoms(use_true_random=False))
+    level = [0]
+    for _ in range(horizon):
+        mode = draw(st.sampled_from(["split", "bit0", "bit1", "mixed"]))
+        nxt = []
+        for v in level:
+            pick = rng.choice(["split", "bit0", "bit1"]) if mode == "mixed" else mode
+            if pick != "bit1":
+                nxt.append(2 * v)
+            if pick != "bit0":
+                nxt.append(2 * v + 1)
+        level = nxt
+    return PrefixTree(horizon, frozenset(level))
+
+
+@st.composite
+def leaf_set_trees(draw):
+    horizon = draw(st.integers(1, 9))
+    leaves = draw(st.sets(st.integers(0, (1 << horizon) - 1), min_size=1, max_size=40))
+    return PrefixTree(horizon, frozenset(leaves))
+
+
+@st.composite
+def silver_prefix_trees(draw):
+    horizon = draw(st.integers(1, 9))
+    x = Point(horizon, draw(st.integers(0, (1 << horizon) - 1)))
+    free = draw(st.frozensets(st.integers(0, horizon - 1)))
+    depth = draw(st.integers(1, horizon))
+    return silver_to_prefix(SilverTree(x, free), depth)
+
+
+any_tree = st.one_of(leveled_trees(), leaf_set_trees(), silver_prefix_trees())
+
+
+class TestKindsFromLevelSizes:
+    @settings(max_examples=300, deadline=None)
+    @given(any_tree)
+    def test_flags_match_per_node_definitions(self, T):
+        perfect, uniform, silver = ref_flags(T)
+        flags = classify(T)
+        assert is_perfect(T) == perfect
+        assert (flags.perfect, flags.uniformly_perfect, flags.silver) == (
+            perfect, uniform, silver
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_tree)
+    def test_defect_matches_per_coordinate_loop(self, T):
+        expected = ref_thresholds(T)
+        assert splitting_thresholds(T) == expected
+        assert splitting_defect(T) == max(
+            worst - (len(stem) - 1) for stem, worst in expected.items()
+        )
+        assert classify(T).splitting_at_horizon == (
+            splitting_defect(T) <= T.horizon // 2
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_tree)
+    def test_levels_are_shifted_leaves(self, T):
+        assert [set(level) for level in T.levels] == ref_levels(T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(silver_prefix_trees())
+    def test_silver_outputs(self, T):
+        # an empty free set (or none below the depth) leaves a single branch
+        perfect = len(T.leaves) > 1
+        flags = classify(T)
+        assert flags.perfect == flags.uniformly_perfect == flags.silver == perfect
+
+    def test_empty_free_set_is_a_single_branch(self):
+        T = silver_to_prefix(SilverTree(Point.from_bits("0110"), frozenset()))
+        assert len(T) == 1
+        assert not is_perfect(T)
+        assert classify(T) == KindFlags(False, False, False, False)
 
 
 class TestStemHelpers:
