@@ -1,10 +1,10 @@
 """Brute-force validation of construction claims.
 
 Two independent paths to the same question: blockwise pattern inclusion
-(the shape the proofs argue in) and plain enumeration of source points
-against all fold-sums of the tree.  Both are exact; the enumeration path
-is capped by horizon and an explicit work budget rather than silently
-sampled.
+(the shape the proofs argue in) and a test of every source point plus
+every fold-sum of the tree, run on full-horizon point sets.  Both are
+exact; the point-set path is capped by horizon and an explicit work budget
+rather than silently sampled.
 """
 
 from __future__ import annotations
@@ -15,7 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .bits import Block, Partition, PatternSet, pattern_sum
+from .bits import (
+    Block,
+    Partition,
+    PatternSet,
+    Point,
+    _from_bitset,
+    _swap_masks,
+    _to_bitset,
+    _translate_union,
+    pattern_sum,
+    restrict,
+)
 from .covers import (
     BlockCheck,
     Certificate,
@@ -151,48 +162,90 @@ def certify_request(
 PointCover = MeagerCover | ECover
 
 
-def _member_values(cover: PointCover) -> list[list[int]]:
-    """Per-block candidate values whose products are exactly the members."""
-    rows = []
-    for n, blk in enumerate(cover.partition.blocks):
-        if n < cover.threshold:
-            rows.append(list(range(1 << blk.length)))
-        elif isinstance(cover, MeagerCover):
-            rows.append(sorted(cover.allowed(n).values))
-        else:
-            rows.append(sorted(cover.patterns[n].values))
-    return rows
+@dataclass(frozen=True)
+class Counterexample:
+    """A point of source + b-fold branch sums that escapes the witness.
+
+    `point` is the least escaping point on the witness horizon, `sum` the
+    least truncated branch sum carrying a source member onto it, and `block`
+    the first witness block at or past the threshold that `point` misses.
+    """
+
+    point: Point
+    sum: Point
+    block: Block
 
 
-def _membership_table(cover: PointCover) -> list[tuple[int, int, frozenset[int]]]:
-    """(shift, mask, admissible values) per consulted block, against the
-    cover's own horizon."""
-    H = cover.horizon
-    table = []
-    for n in range(cover.threshold, len(cover.partition)):
+def _block_bits(cover: PointCover, n: int) -> int:
+    """Admissible values on block n as a 2^length-bit set; every value is
+    admissible below the threshold."""
+    blk = cover.partition[n]
+    full = (1 << (1 << blk.length)) - 1
+    if n < cover.threshold:
+        return full
+    if isinstance(cover, MeagerCover):
+        return full ^ (1 << restrict(cover.xF, blk).value)
+    return _to_bitset(cover.patterns[n].values, blk.length)
+
+
+def _point_set(cover: PointCover, width: int) -> int:
+    """The cover's members cut to their first `width` bits, as a
+    2^width-bit set, built as a block product from the last kept block up.
+
+    Blocks past the cut are dropped, unless they admit no value at all,
+    and a block straddling it keeps the leading bits of its admissible
+    values.  Each step lays out one chunk per value of the new block: the
+    tail set where the value is admissible, zeros elsewhere.
+    """
+    bits, tail = 1, 0
+    for n in reversed(range(len(cover.partition))):
         blk = cover.partition[n]
-        if isinstance(cover, MeagerCover):
-            good = frozenset(cover.allowed(n).values)
+        good, length = _block_bits(cover, n), blk.length
+        if not good:
+            return 0
+        if blk.lo >= width:
+            continue
+        cut = blk.hi - width
+        if cut > 0:
+            length -= cut
+            good = _to_bitset(
+                {v >> cut for v in _from_bitset(good, blk.length)}, length
+            )
+        if not tail:
+            bits = good
+        elif tail >= 3:
+            size = 1 << (tail - 3)
+            chunk, zero = bits.to_bytes(size, "little"), bytes(size)
+            flags = format(good, f"0{1 << length}b")[::-1]
+            bits = int.from_bytes(
+                b"".join(chunk if f == "1" else zero for f in flags), "little"
+            )
         else:
-            good = cover.patterns[n].values
-        table.append((H - blk.hi, blk.mask, good))
-    return table
+            out = 0
+            for u, f in enumerate(reversed(format(good, "b"))):
+                if f == "1":
+                    out |= bits << (u << tail)
+            bits = out
+        tail += length
+    return bits
 
 
-def exhaustive_containment(
+def exhaustive_counterexample(
     source_cover: PointCover,
     T: PrefixTree,
     b: int,
     witness_cover: PointCover,
     cap: int = DEFAULT_HORIZON_CAP,
     budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Enumerate every source member, add every b-fold branch sum, and
-    test the witness membership of each result.
+) -> Counterexample | None:
+    """Test every point of source + b-fold branch sums for witness
+    membership, on 2^H-bit point sets over the witness horizon H.
 
     Small covers are rejected: they have no point test.  Witness covers
     on a shorter horizon see the sums truncated, matching the blockwise
-    convention for dropped trailing blocks.
+    convention for dropped trailing blocks.  Besides the fold sums, the
+    work is charged (|sums| + 2) passes over ceil(2^H / 64) words, before
+    any set is built.
     """
     for cover in (source_cover, witness_cover):
         if not isinstance(cover, (MeagerCover, ECover)):
@@ -208,28 +261,46 @@ def exhaustive_containment(
     if b < 0:
         raise ValueError("fold count must be at least 0")
 
-    drop = T.horizon - witness_cover.horizon
+    H = witness_cover.horizon
+    drop = T.horizon - H
     if b == 0:
-        sums = {0}
+        sums = [0]
     else:
-        sums = {v >> drop for v in nfold_body_sum(T, b, budget).values}
-    rows = _member_values(source_cover)
-    table = _membership_table(witness_cover)
+        sums = sorted({v >> drop for v in nfold_body_sum(T, b, budget).values})
+    cost = (len(sums) + 2) * -(-(1 << H) // 64)
+    if cost > budget:
+        raise BudgetExceeded(f"exhaustive budget {budget} exceeded ({cost} words)")
 
-    members = set()
-    for combo in itertools.product(*rows):
-        v = 0
-        for blk, val in zip(source_cover.partition.blocks, combo):
-            v |= val << (source_cover.horizon - blk.hi)
-        members.add(v >> drop)
+    members = _point_set(source_cover, H)
+    reach = _translate_union(
+        sums, 0, len(sums), 0, H - 1, members, _swap_masks(H)
+    )
+    escaped = reach & ~_point_set(witness_cover, H)
+    if not escaped:
+        return None
+    q = (escaped & -escaped).bit_length() - 1
+    t = next(t for t in sums if members >> (q ^ t) & 1)
+    point = Point(H, q)
+    block = next(
+        blk for n, blk in enumerate(witness_cover.partition)
+        if not _block_bits(witness_cover, n) >> restrict(point, blk).value & 1
+    )
+    return Counterexample(point, Point(H, t), block)
 
-    for p in members:
-        for t in sums:
-            q = p ^ t
-            for shift, mask, good in table:
-                if (q >> shift) & mask not in good:
-                    return False
-    return True
+
+def exhaustive_containment(
+    source_cover: PointCover,
+    T: PrefixTree,
+    b: int,
+    witness_cover: PointCover,
+    cap: int = DEFAULT_HORIZON_CAP,
+    budget: int = DEFAULT_BUDGET,
+) -> bool:
+    """Whether every point of source + b-fold branch sums lies in the
+    witness; see `exhaustive_counterexample`."""
+    return exhaustive_counterexample(
+        source_cover, T, b, witness_cover, cap, budget
+    ) is None
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from .oracle import (
     certify_request,
     density_audit_table,
     exhaustive_containment,
+    exhaustive_counterexample,
     pattern_nfold,
 )
 from .trees import PrefixTree, SilverTree, classify, tree_restrict
@@ -331,7 +332,12 @@ def _load_request(i: int, spec, trees: dict, covers: dict) -> Request:
     args = {}
     for arg in _OPS[op][0]:
         if arg == "uniform":
-            args[arg] = bool(spec.get("uniform", False))
+            uniform = spec.get("uniform", False)
+            if type(uniform) is not bool:
+                raise ScenarioError(
+                    f"{where}: uniform must be true or false, got {uniform!r}"
+                )
+            args[arg] = uniform
         elif arg == "kind":
             kind = spec.get("kind")
             if kind not in ("silver", "perfect", "uniform"):
@@ -404,12 +410,11 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         points[str(k)] = Point.from_bits(s)
     index_sets = {}
     for k, v in _section(raw, "index_sets", dict).items():
-        try:
-            coords = frozenset(int(i) for i in v)
-        except (TypeError, ValueError):
+        if not isinstance(v, list) or any(type(i) is not int for i in v):
             raise ScenarioError(
                 f"index set {k!r}: expected a list of integer coordinates"
-            ) from None
+            )
+        coords = frozenset(v)
         if any(i < 0 or i >= horizon for i in coords):
             raise ScenarioError(
                 f"index set {k!r}: coordinate out of range [0, {horizon})"
@@ -580,6 +585,22 @@ def _witness_entries(result, req, flags, tampered_label):
             else:
                 entry["exhaustive"] = ex
                 request_pass = request_pass and all(ex.values())
+                failed = {
+                    b: exhaustive_counterexample(
+                        source, prefix, b, cover, cap=flags.horizon_cap
+                    )
+                    for b, cover in bundle.per_fold
+                    if not ex[str(b)]
+                }
+                if failed:
+                    entry["exhaustive_counterexamples"] = {
+                        str(b): {
+                            "point": c.point.bits(),
+                            "sum": c.sum.bits(),
+                            "block": [c.block.lo, c.block.hi],
+                        }
+                        for b, c in failed.items()
+                    }
         entries.append(entry)
     return entries, request_pass
 

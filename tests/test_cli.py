@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,6 +119,15 @@ class TestOtherVerbs:
         assert code == EXIT_PASS
         assert len(out) == 13
         assert out == sorted(out)
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treesum", "list-ops"], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        assert len(proc.stdout.split()) == 13
 
     def test_missing_verb_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treesum.oracle as oracle_mod
 from treesum.bits import Block, Partition, PatternSet, Point
 from treesum.covers import (
     CertificateRequest,
@@ -20,10 +22,12 @@ from treesum.covers import (
 from treesum.oracle import (
     AuditRow,
     BudgetExceeded,
+    Counterexample,
     blockwise_certify,
     certify_request,
     density_audit_table,
     exhaustive_containment,
+    exhaustive_counterexample,
     nfold_body_sum,
     nfold_body_sum_direct,
     pattern_nfold,
@@ -35,6 +39,84 @@ def random_tree(rng: random.Random, horizon: int, max_leaves: int) -> PrefixTree
     count = rng.randint(1, max_leaves)
     pool = rng.sample(range(1 << horizon), min(count, 1 << horizon))
     return PrefixTree(horizon, frozenset(pool))
+
+
+def _admissible(cover, n: int) -> frozenset[int]:
+    blk = cover.partition[n]
+    if n < cover.threshold:
+        return frozenset(range(1 << blk.length))
+    if isinstance(cover, MeagerCover):
+        return cover.allowed(n).values
+    return cover.patterns[n].values
+
+
+def _members_and_sums_direct(source_cover, T, b, witness_cover):
+    """Source members and b-fold branch sums, both cut to the witness
+    horizon, by enumerating the product of admissible block values."""
+    drop = T.horizon - witness_cover.horizon
+    sums = {0} if b == 0 else {v >> drop for v in nfold_body_sum(T, b).values}
+    blocks = source_cover.partition.blocks
+    rows = [sorted(_admissible(source_cover, n)) for n in range(len(blocks))]
+    members = set()
+    for combo in itertools.product(*rows):
+        v = 0
+        for blk, val in zip(blocks, combo):
+            v |= val << (source_cover.horizon - blk.hi)
+        members.add(v >> drop)
+    return members, sums
+
+
+def _first_missed_block(witness_cover, q: int):
+    """The first witness block whose restriction of point q is not
+    admissible, or None when q is a member."""
+    H = witness_cover.horizon
+    for n in range(witness_cover.threshold, len(witness_cover.partition)):
+        blk = witness_cover.partition[n]
+        if (q >> (H - blk.hi)) & blk.mask not in _admissible(witness_cover, n):
+            return blk
+    return None
+
+
+def escaping_points_direct(source_cover, T, b, witness_cover) -> set[int]:
+    """Every source member plus b-fold branch sum that misses the witness,
+    one point at a time."""
+    members, sums = _members_and_sums_direct(source_cover, T, b, witness_cover)
+    return {
+        p ^ t for p in members for t in sums
+        if _first_missed_block(witness_cover, p ^ t) is not None
+    }
+
+
+def exhaustive_containment_direct(source_cover, T, b, witness_cover) -> bool:
+    """The point loop the bitset oracle replaces, kept as its reference."""
+    members, sums = _members_and_sums_direct(source_cover, T, b, witness_cover)
+    return all(
+        _first_missed_block(witness_cover, p ^ t) is None
+        for p in members for t in sums
+    )
+
+
+def _lengths(draw, total: int) -> list[int]:
+    lengths: list[int] = []
+    while sum(lengths) < total:
+        lengths.append(draw(st.integers(1, min(3, total - sum(lengths)))))
+    return lengths
+
+
+@st.composite
+def point_covers(draw, horizon: int):
+    """Meager or E covers on a mixed-length partition of [0, horizon), with
+    any threshold from 0 to the number of blocks."""
+    P = Partition.from_lengths(_lengths(draw, horizon))
+    threshold = draw(st.integers(0, len(P)))
+    if draw(st.booleans()):
+        x = Point(horizon, draw(st.integers(0, (1 << horizon) - 1)))
+        return MeagerCover(x, P, threshold)
+    patterns = tuple(
+        PatternSet(blk, draw(st.frozensets(st.integers(0, blk.mask))))
+        for blk in P.blocks
+    )
+    return ECover(P, patterns, threshold)
 
 
 class TestNfold:
@@ -260,6 +342,84 @@ class TestExhaustive:
         # still avoids 00 on block 0 but the second block can hit 00
         T = PrefixTree.from_leaves(["0011"])
         assert not exhaustive_containment(C, T, 1, C)
+
+    def test_counterexample(self):
+        P = Partition.from_lengths([2, 2])
+        C = MeagerCover(Point.zero(4), P, 0)
+        T = PrefixTree.from_leaves(["0011"])
+        assert exhaustive_counterexample(C, T, 1, C) == Counterexample(
+            Point.from_bits("0100"), Point.from_bits("0011"), Block(2, 4)
+        )
+        assert exhaustive_counterexample(C, T, 0, C) is None
+
+    def test_budget_is_charged_before_any_point_set(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("point set built before the budget check")
+
+        monkeypatch.setattr(oracle_mod, "_point_set", refuse)
+        P = Partition.from_lengths([3, 3, 3, 3])
+        everything = MeagerCover(Point.zero(12), P, len(P))
+        with pytest.raises(BudgetExceeded):
+            exhaustive_containment(
+                everything, PrefixTree.full(12), 1, everything, budget=1000
+            )
+
+    def test_budget_boundary(self):
+        # b = 0 adds the single sum 0: three passes over 2^8 / 64 words
+        P = Partition.from_lengths([4, 4])
+        C = MeagerCover(Point.zero(8), P, 1)
+        T = PrefixTree.from_leaves(["00000001"])
+        assert exhaustive_containment(C, T, 0, C, budget=3 * 4)
+        with pytest.raises(BudgetExceeded):
+            exhaustive_containment(C, T, 0, C, budget=3 * 4 - 1)
+
+    def test_straddling_source_block(self):
+        # the witness horizon cuts the source block [2, 5) after bit 3, so
+        # source values 000, 001 become the single leading pair 00
+        P = Partition.from_lengths([2, 3])
+        src = ECover(P, (
+            PatternSet.full(P[0]),
+            PatternSet.from_bits(P[1], ["000", "001"]),
+        ))
+        Pw = Partition.from_lengths([2, 1])
+        wit = ECover(Pw, (PatternSet.full(Pw[0]), PatternSet.from_bits(Pw[1], ["0"])))
+        assert exhaustive_containment(src, PrefixTree.from_leaves(["00001"]), 1, wit)
+        assert exhaustive_counterexample(
+            src, PrefixTree.from_leaves(["00100"]), 1, wit
+        ) == Counterexample(Point.from_bits("001"), Point.from_bits("001"), Pw[1])
+
+    def test_empty_dropped_block_empties_the_source(self):
+        P = Partition.from_lengths([2, 2])
+        src = ECover(P, (PatternSet.full(P[0]), PatternSet.empty(P[1])))
+        Pw = Partition.from_lengths([2])
+        wit = ECover(Pw, (PatternSet.empty(Pw[0]),))
+        assert exhaustive_containment(src, PrefixTree.full(4), 1, wit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_point_loop(self, data):
+        horizon = data.draw(st.integers(1, 10))
+        src = data.draw(point_covers(horizon))
+        wit = data.draw(point_covers(data.draw(st.integers(1, horizon))))
+        leaves = data.draw(
+            st.frozensets(st.integers(0, (1 << horizon) - 1), min_size=1, max_size=6)
+        )
+        T = PrefixTree(horizon, leaves)
+        b = data.draw(st.integers(0, 3))
+        escapes = escaping_points_direct(src, T, b, wit)
+        assert exhaustive_containment_direct(src, T, b, wit) == (not escapes)
+        assert exhaustive_containment(src, T, b, wit) == (not escapes)
+        found = exhaustive_counterexample(src, T, b, wit)
+        if not escapes:
+            assert found is None
+            return
+        q = min(escapes)
+        members, sums = _members_and_sums_direct(src, T, b, wit)
+        assert found == Counterexample(
+            Point(wit.horizon, q),
+            Point(wit.horizon, min(t for t in sums if q ^ t in members)),
+            _first_missed_block(wit, q),
+        )
 
     def test_matches_pointwise_definition(self):
         rng = random.Random(61)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import json
 import typing
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,14 @@ import pytest
 import treesum.constructions as constructions_mod
 import treesum.scenario as scenario_mod
 from treesum.cli import EXIT_INPUT, main
-from treesum.covers import ECover, MeagerCover, NullCover, SmallCover
+from treesum.bits import Block, Point, restrict
+from treesum.covers import (
+    ECover,
+    MeagerCover,
+    NullCover,
+    SmallCover,
+    meager_member,
+)
 from treesum.oracle import BudgetExceeded
 from treesum.scenario import (
     RunFlags,
@@ -191,6 +199,21 @@ class TestLoading:
         pytest.param(lambda d: d.update(trees=[1]),
                      "section 'trees': expected an object",
                      id="trees-not-object"),
+        pytest.param(lambda d: (
+            d["trees"].update(P={"kind": "full"}),
+            d["requests"].append({"op": "shrink_perfect_meager", "cover": "F",
+                                  "tree": "P", "uniform": "false"}),
+        ), "request 1: uniform must be true or false, got 'false'",
+            id="uniform-not-bool"),
+        pytest.param(lambda d: d.update(index_sets={"A": [1.5]}),
+                     "index set 'A': expected a list of integer coordinates",
+                     id="index-set-fraction"),
+        pytest.param(lambda d: d.update(index_sets={"A": ["3"]}),
+                     "index set 'A': expected a list of integer coordinates",
+                     id="index-set-string"),
+        pytest.param(lambda d: d.update(index_sets={"A": [True]}),
+                     "index set 'A': expected a list of integer coordinates",
+                     id="index-set-bool"),
     ])
     def test_malformed_field_is_an_input_error(self, tmp_path, capsys,
                                                mutate, message):
@@ -240,6 +263,66 @@ class TestRunning:
         report = run(scn, RunFlags(exhaustive=False, deterministic=True))
         w = report.data["requests"][0]["witnesses"][0]
         assert "exhaustive" not in w
+
+    def test_exhaustive_past_the_default_cap(self, monkeypatch):
+        # unit blocks at horizon 18 and meager threshold 14: past the default
+        # cap of 14 the oracle only runs when the cap is raised
+        horizon = 18
+        doc = {
+            "name": "silver-18",
+            "horizon": horizon,
+            "partitions": {"unit": {"lengths": [1] * horizon}},
+            "points": {"xF": "011010011101001011", "xT": "110100101100101101"},
+            "index_sets": {"A": list(range(0, horizon, 2))},
+            "trees": {"T": {"kind": "silver", "x": "xT", "free": "A"}},
+            "covers": {"F": {"kind": "meager", "x": "xF", "partition": "unit",
+                             "threshold": 14}},
+            "requests": [{"op": "shrink_silver_meager", "cover": "F",
+                          "tree": "T"}],
+        }
+        scn = parse_scenario(json.dumps(doc))
+        flags = RunFlags(horizon_cap=horizon, deterministic=True)
+        assert RunFlags().horizon_cap == 14
+        w = run(scn, RunFlags(deterministic=True)).data["requests"][0]
+        assert "exhaustive" not in w["witnesses"][0]
+
+        report = run(scn, flags)
+        w = report.data["requests"][0]["witnesses"][0]
+        assert report.passed
+        assert w["exhaustive"] == {"0": True, "1": True, "2": True, "3": True}
+        assert "exhaustive_counterexamples" not in w
+
+        # the same witnesses with every coarse block consulted must fail
+        shrink = scenario_mod.shrink_silver_meager
+
+        def lowered(*args):
+            result = shrink(*args)
+            bundle = result.witnesses[0]
+            per_fold = tuple(
+                (b, replace(cover, threshold=0)) for b, cover in bundle.per_fold
+            )
+            return replace(result, witnesses=(replace(bundle, per_fold=per_fold),))
+
+        monkeypatch.setattr(scenario_mod, "shrink_silver_meager", lowered)
+        report = run(scn, flags)
+        w = report.data["requests"][0]["witnesses"][0]
+        assert not report.passed
+        failed = sorted(b for b, ok in w["exhaustive"].items() if not ok)
+        assert failed
+        assert sorted(w["exhaustive_counterexamples"]) == failed
+        result = lowered(scn.covers["F"], scn.trees["T"], (0, 1, 2, 3))
+        for b in failed:
+            found = w["exhaustive_counterexamples"][b]
+            point = Point.from_bits(found["point"])
+            moved = point ^ Point.from_bits(found["sum"])
+            lo, hi = found["block"]
+            assert meager_member(scn.covers["F"], moved)
+            witness = result.witnesses[0].cover_for(int(b))
+            assert restrict(point, Block(lo, hi)) == restrict(
+                witness.xF, Block(lo, hi)
+            )
+            assert not meager_member(witness, point)
+        assert render_report(report) == render_report(run(scn, flags))
 
     def test_request_folds_override_flags(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
