@@ -166,21 +166,6 @@ class Word:
         return self.bits()
 
 
-def zero_word(block: Block) -> Word:
-    return Word(block, 0)
-
-
-def ones_word(block: Block) -> Word:
-    return Word(block, block.mask)
-
-
-def unit_word(block: Block, index: int) -> Word:
-    """The word with a single 1 at the given absolute index."""
-    if index not in block:
-        raise ValueError(f"index {index} outside block {block}")
-    return Word(block, 1 << (block.hi - 1 - index))
-
-
 def indicator_word(block: Block, indices: Iterable[int]) -> Word:
     """Characteristic word of a set of absolute indices, clipped to the block."""
     value = 0
@@ -238,13 +223,6 @@ def restrict(p: Point, block: Block) -> Word:
     if block.hi > p.horizon:
         raise ValueError(f"block {block} beyond horizon {p.horizon}")
     return Word(block, (p.value >> (p.horizon - block.hi)) & block.mask)
-
-
-def point_of_word(w: Word) -> Point:
-    """View a word on a block starting at 0 as a point."""
-    if w.block.lo != 0:
-        raise ValueError("only words on [0, n) convert to points")
-    return Point(w.block.hi, w.value)
 
 
 # Widest block whose full word set may be materialized, as a frozenset or as
@@ -405,12 +383,6 @@ def _from_bitset(bits: int, length: int) -> frozenset[int]:
         for j, byte in enumerate(data) if byte
         for i in _BYTE_BITS[byte]
     )
-
-
-def pattern_translate(J: PatternSet, w: Word) -> PatternSet:
-    if J.block != w.block:
-        raise ValueError(f"blocks differ: {J.block} vs {w.block}")
-    return PatternSet(J.block, frozenset(v ^ w.value for v in J.values))
 
 
 def block_product(parts: Sequence[PatternSet]) -> PatternSet:

@@ -17,9 +17,7 @@ import logging
 import sys
 
 from .scenario import (
-    Report,
     RunFlags,
-    Scenario,
     ScenarioError,
     emit,
     list_ops,
@@ -28,11 +26,6 @@ from .scenario import (
     run,
     run_selftest,
 )
-
-__all__ = [
-    "Report", "RunFlags", "Scenario", "ScenarioError", "emit", "list_ops",
-    "load_scenario", "main", "render_report", "run", "run_selftest",
-]
 
 log = logging.getLogger(__name__)
 
@@ -53,11 +46,23 @@ def _parse_folds(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"bad fold range {text!r}; use like '0..3' or '0,2'"
         ) from None
-    if not folds or any(b < 0 for b in folds):
+    if not folds:
+        raise argparse.ArgumentTypeError(f"bad fold range {text!r}; the range is empty")
+    if any(b < 0 for b in folds):
         raise argparse.ArgumentTypeError(
             f"bad fold range {text!r}; folds must be nonnegative"
         )
     return folds
+
+
+def _horizon_cap(text: str) -> int:
+    # a cap below 1 would skip the exhaustive check on every request, which
+    # is what --no-exhaustive is for
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"bad horizon cap {text!r}; use an integer of at least 1"
+        )
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("scenario", help="path to a scenario JSON file")
     p_run.add_argument(
-        "--horizon-cap", type=int, default=RunFlags.horizon_cap, metavar="N",
+        "--horizon-cap", type=_horizon_cap, default=RunFlags.horizon_cap, metavar="N",
         help="exhaustive checks only run when the horizon is at most N "
              "(default %(default)s)",
     )

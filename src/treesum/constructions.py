@@ -100,16 +100,6 @@ def _clean_folds(folds: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def _fold_union(J: PatternSet, up_to: int) -> PatternSet:
-    """Union of the j-fold sums of J for j = 0..up_to."""
-    acc = PatternSet(J.block, frozenset({0}))
-    vals = set(acc.values)
-    for _ in range(up_to):
-        acc = pattern_sum(acc, J)
-        vals |= acc.values
-    return PatternSet(J.block, frozenset(vals))
-
-
 def _group(
     fine: Partition, sizes: Iterable[int], filling: str
 ) -> tuple[list[tuple[int, int]], Partition, list[str]]:
@@ -857,10 +847,13 @@ def shrink_perfect_e(
     warnings.extend(_perfect_warning(tree_out))
 
     base = sum(lo < E.threshold for lo, _ in ranges)
+    # (J ∪ {0})^(n) is the union of the j-fold sums of J for j ≤ n
     witness_patterns = tuple(
         pattern_sum(
             block_product(E.patterns[lo:hi]),
-            _fold_union(tree_restrict(tree_out, blk), n),
+            pattern_nfold(
+                PatternSet(blk, tree_restrict(tree_out, blk).values | {0}), n
+            ),
         )
         for n, (blk, (lo, hi)) in enumerate(zip(supers, ranges))
     )

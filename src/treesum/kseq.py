@@ -31,10 +31,6 @@ class KSeq:
         if any(x > y for x, y in zip(self.k, self.k[1:])):
             raise ValueError("k must be nondecreasing")
 
-    @property
-    def j_max(self) -> int:
-        return len(self.nj) - 1
-
 
 def build_kseq(a: Sequence[Fraction], j_max: int) -> KSeq:
     if not a:

@@ -9,7 +9,6 @@ rather than silently sampled.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,7 @@ from .covers import (
     MeagerCover,
     e_density_audit,
 )
-from .trees import PrefixTree, body, tree_restrict
+from .trees import PrefixTree, tree_restrict
 
 log = logging.getLogger(__name__)
 
@@ -50,12 +49,18 @@ class BudgetExceeded(RuntimeError):
 def pattern_nfold(
     J: PatternSet, n: int, budget: int = DEFAULT_BUDGET
 ) -> PatternSet:
-    """n-fold XOR sumset of a pattern set; the empty sum is {zero}."""
+    """n-fold XOR sumset of a pattern set; the empty sum is {zero}.
+
+    From J on, each of the n - 1 sums is charged |acc|·|J| pairs against
+    the budget.
+    """
     if n < 0:
         raise ValueError("fold count must be at least 0")
-    acc = PatternSet(J.block, frozenset({0}))
+    if n == 0:
+        return PatternSet(J.block, frozenset({0}))
+    acc = J
     spent = 0
-    for _ in range(n):
+    for _ in range(n - 1):
         spent += len(acc) * len(J)
         if spent > budget:
             raise BudgetExceeded(f"fold sum budget {budget} exceeded")
@@ -69,33 +74,7 @@ def nfold_body_sum(
     """All XOR sums of n branches, deduplicated round by round."""
     if n < 1:
         raise ValueError("fold count must be at least 1")
-    base = tree_restrict(T, Block(0, T.horizon))
-    acc = base
-    spent = 0
-    for _ in range(n - 1):
-        spent += len(acc) * len(base)
-        if spent > budget:
-            raise BudgetExceeded(f"fold sum budget {budget} exceeded")
-        acc = pattern_sum(acc, base)
-    return acc
-
-
-def nfold_body_sum_direct(T: PrefixTree, n: int) -> PatternSet:
-    """Same set by brute enumeration of all n-tuples of branches.
-
-    Cost is |body|^n with no dedup along the way; only for cross-checking
-    the iterated algorithm on small trees.
-    """
-    if n < 1:
-        raise ValueError("fold count must be at least 1")
-    words = body(T)
-    out = set()
-    for combo in itertools.product(range(len(words)), repeat=n):
-        v = 0
-        for i in combo:
-            v ^= words[i].value
-        out.add(v)
-    return PatternSet(Block(0, T.horizon), frozenset(out))
+    return pattern_nfold(tree_restrict(T, Block(0, T.horizon)), n, budget)
 
 
 def blockwise_certify(

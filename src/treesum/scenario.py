@@ -116,6 +116,18 @@ def _fraction(text, where: str) -> Fraction:
         raise ScenarioError(f"{where}: bad rational {text!r}: {err}") from None
 
 
+def _int(value, field: str, where: str = "", least: int = 0) -> int:
+    """An integer field of at least `least`, read strictly: bool, floats
+    (2.0 included) and numeric strings are input errors."""
+    if type(value) is not int or value < least:
+        prefix = f"{where}: " if where else ""
+        raise ScenarioError(
+            f"{prefix}bad {field} {value!r}: expected an integer of at least "
+            f"{least}"
+        )
+    return value
+
+
 def _bit_string(text, where: str) -> str:
     if not isinstance(text, str) or not text or any(c not in "01" for c in text):
         raise ScenarioError(f"{where}: expected a nonempty 0/1 string, got {text!r}")
@@ -126,20 +138,23 @@ def _load_partition(name: str, spec, horizon: int) -> Partition:
     where = f"partition {name!r}"
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where}: expected an object")
-    if "lengths" in spec:
-        try:
-            part = Partition.from_lengths(spec["lengths"])
-        except (ValueError, TypeError) as err:
-            raise ScenarioError(f"{where}: {err}") from None
-    elif "blocks" in spec:
-        try:
-            part = Partition(
-                tuple(Block(int(lo), int(hi)) for lo, hi in spec["blocks"])
-            )
-        except (ValueError, TypeError) as err:
-            raise ScenarioError(f"{where}: {err}") from None
-    else:
+    if "lengths" not in spec and "blocks" not in spec:
         raise ScenarioError(f"{where}: needs 'lengths' or 'blocks'")
+    try:
+        if "lengths" in spec:
+            part = Partition.from_lengths(
+                [_int(n, "length", where, 1) for n in spec["lengths"]]
+            )
+        else:
+            part = Partition(tuple(
+                Block(_int(lo, "block bound", where),
+                      _int(hi, "block bound", where))
+                for lo, hi in spec["blocks"]
+            ))
+    except ScenarioError:
+        raise
+    except (ValueError, TypeError) as err:
+        raise ScenarioError(f"{where}: {err}") from None
     if part.horizon != horizon:
         raise ScenarioError(
             f"{where}: horizon mismatch, covers [0, {part.horizon}) "
@@ -220,7 +235,9 @@ def _load_cover(name: str, spec, scn, horizon: int):
         if kind == "meager":
             x = _ref(scn["points"], spec.get("x"), "point", where)
             part = _ref(scn["partitions"], spec.get("partition"), "partition", where)
-            return MeagerCover(x, part, int(spec.get("threshold", 0)))
+            return MeagerCover(
+                x, part, _int(spec.get("threshold", 0), "threshold", where)
+            )
         if kind == "small":
             part = _ref(scn["partitions"], spec.get("partition"), "partition", where)
             return SmallCover(part, _load_patterns(part, spec.get("patterns"), where))
@@ -235,7 +252,7 @@ def _load_cover(name: str, spec, scn, horizon: int):
             return ECover(
                 part,
                 _load_patterns(part, spec.get("patterns"), where),
-                int(spec.get("threshold", 0)),
+                _int(spec.get("threshold", 0), "threshold", where),
             )
         if kind == "chain":
             stages = []
@@ -362,8 +379,12 @@ def _load_request(i: int, spec, trees: dict, covers: dict) -> Request:
     if "tamper" in spec:
         t = spec["tamper"]
         try:
-            tamper = Tamper(str(t["bundle"]), int(t["fold"]), int(t["block"]))
-        except (KeyError, TypeError, ValueError) as err:
+            tamper = Tamper(
+                str(t["bundle"]),
+                _int(t["fold"], "tamper fold", where),
+                _int(t["block"], "tamper block", where),
+            )
+        except (KeyError, TypeError) as err:
             raise ScenarioError(f"{where}: bad tamper spec: {err}") from None
     return Request(op, args, folds, tamper)
 
@@ -388,12 +409,7 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     if "horizon" not in raw:
         raise ScenarioError("scenario is missing 'horizon'")
-    try:
-        horizon = int(raw["horizon"])
-    except (TypeError, ValueError):
-        raise ScenarioError(f"bad horizon {raw['horizon']!r}") from None
-    if horizon <= 0:
-        raise ScenarioError(f"bad horizon {horizon}")
+    horizon = _int(raw["horizon"], "horizon", least=1)
     name = str(raw.get("name", name_hint))
 
     partitions = {

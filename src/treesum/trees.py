@@ -109,27 +109,6 @@ class PrefixTree:
                 raise ValueError(f"leaf {s!r} has length {len(s)}, expected {horizon}")
         return cls(horizon, frozenset(Point.from_bits(s).value for s in ls))
 
-    @classmethod
-    def from_nodes(cls, nodes: Iterable[str]) -> "PrefixTree":
-        """Build from an explicit node list, validating prefix closure and
-        pruned-ness."""
-        node_set = set(nodes)
-        if not node_set:
-            raise ValueError("no nodes given")
-        horizon = max(len(s) for s in node_set)
-        if horizon == 0:
-            raise ValueError("tree has no nodes of positive length")
-        for s in node_set:
-            if any(c not in "01" for c in s):
-                raise ValueError(f"node {s!r} is not a binary sequence")
-            if s and s[:-1] not in node_set:
-                raise ValueError(f"node {s!r} lacks its parent (not prefix-closed)")
-        leaves = {s for s in node_set if len(s) == horizon}
-        for s in node_set:
-            if not any(leaf.startswith(s) for leaf in leaves):
-                raise ValueError(f"node {s!r} does not extend to the horizon (not pruned)")
-        return cls(horizon, frozenset(int(s, 2) for s in leaves))
-
     @cached_property
     def levels(self) -> tuple[frozenset[int], ...]:
         """levels[d] = packed values of the length-d nodes, built bottom-up:
@@ -226,15 +205,6 @@ def splitting_defect(T: PrefixTree) -> int:
     return max(n for _, n in _defect_items(T))
 
 
-def splitting_thresholds(T: PrefixTree) -> dict[str, int]:
-    """Per-stem minimal N such that every coordinate past N is realized with
-    both values by extensions of the stem."""
-    out = {}
-    for (d, v), defect in _defect_items(T):
-        out[format(v, f"0{d}b") if d else ""] = (d - 1) + defect
-    return out
-
-
 def _defect_items(T: PrefixTree) -> Iterator[tuple[tuple[int, int], int]]:
     H = T.horizon
     full = (1 << H) - 1
@@ -282,21 +252,6 @@ def classify(T: PrefixTree, split_allowance: int | None = None) -> KindFlags:
     )
     splitting = splitting_defect(T) <= split_allowance
     return KindFlags(perfect, uniform, silver, splitting)
-
-
-def split_count_on_stem(T: PrefixTree, stem: str) -> int:
-    """Number of splitting nodes among the initial segments of a stem,
-    the stem itself included."""
-    if not T.contains_node(stem):
-        raise ValueError(f"stem {stem!r} not in tree")
-    count = 0
-    v = 0
-    for d in range(len(stem) + 1):
-        if v in T.splits_at(d):
-            count += 1
-        if d < len(stem):
-            v = (v << 1) | int(stem[d])
-    return count
 
 
 def first_splitting_node(T: PrefixTree, stem: str, min_length: int) -> str:

@@ -30,11 +30,7 @@ from treesum.constructions import (
 )
 from treesum.cli import EXIT_FAIL, main
 from treesum.kseq import build_kseq, check_kseq_bound
-from treesum.oracle import (
-    density_audit_table,
-    nfold_body_sum,
-    nfold_body_sum_direct,
-)
+from treesum.oracle import density_audit_table, nfold_body_sum
 from treesum.scenario import (
     RunFlags,
     bundled_scenario_names,
@@ -43,6 +39,8 @@ from treesum.scenario import (
     run,
 )
 from treesum.trees import PrefixTree, SilverTree, body, silver_sum, silver_to_prefix
+
+from test_oracle import nfold_body_sum_direct
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "treesum" / "scenarios"
 

@@ -23,13 +23,8 @@ from treesum.bits import (
     block_product,
     coarsen,
     indicator_word,
-    ones_word,
     pattern_sum,
-    pattern_translate,
-    point_of_word,
     restrict,
-    unit_word,
-    zero_word,
 )
 
 
@@ -101,8 +96,8 @@ class TestWord:
         # leftmost written bit is the high bit of the packed value
         assert Word.from_bits("100", Block(0, 3)).value == 4
         assert Word.from_bits("001", Block(0, 3)).value == 1
-        assert unit_word(Block(2, 5), 2).bits() == "100"
-        assert unit_word(Block(2, 5), 4).bits() == "001"
+        assert indicator_word(Block(2, 5), [2]).bits() == "100"
+        assert indicator_word(Block(2, 5), [4]).bits() == "001"
 
     @pytest.mark.parametrize("text", ["0_0", " 00", "00 "])
     def test_from_bits_rejects_non_bit_characters(self, text):
@@ -143,8 +138,8 @@ class TestWord:
     def test_indicator(self):
         w = indicator_word(Block(2, 8), [3, 5, 11])
         assert w.bits() == "010100"
-        assert zero_word(Block(0, 4)).bits() == "0000"
-        assert ones_word(Block(0, 4)).bits() == "1111"
+        assert indicator_word(Block(0, 4), []).bits() == "0000"
+        assert indicator_word(Block(0, 4), range(4)).bits() == "1111"
 
 
 class TestPoint:
@@ -182,11 +177,6 @@ class TestPoint:
         assert p.truncate(5) == p
         with pytest.raises(ValueError):
             p.truncate(6)
-
-    def test_point_of_word(self):
-        assert point_of_word(Word.from_bits("0110", Block(0, 4))) == Point.from_bits("0110")
-        with pytest.raises(ValueError):
-            point_of_word(Word.from_bits("01", Block(1, 3)))
 
 
 class TestPatternSet:
@@ -237,15 +227,15 @@ class TestPatternSet:
         rng = random.Random(3)
         for _ in range(20):
             J = PatternSet.from_bits(block, rng.sample(s_all(4), rng.randint(1, 6)))
-            w = Word.from_bits(rng.choice(s_all(4)), block)
-            K = pattern_translate(J, w)
+            w = PatternSet.from_bits(block, [rng.choice(s_all(4))])
+            K = pattern_sum(J, w)
             assert K.density == J.density
-            assert pattern_translate(K, w) == J
+            assert pattern_sum(K, w) == J
 
     def test_translate_by_member_hits_zero(self):
         block = Block(0, 3)
         J = PatternSet.from_bits(block, ["101", "011"])
-        assert 0 in pattern_translate(J, Word.from_bits("101", block))
+        assert 0 in pattern_sum(J, PatternSet.from_bits(block, ["101"]))
 
     def test_block_product(self):
         a = PatternSet.from_bits(Block(0, 2), ["01", "10"])

@@ -95,6 +95,21 @@ class TestRunVerb:
             main(["run", golden("silver-meager"), "--folds", "three"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        pytest.param("--horizon-cap", "-3", "bad horizon cap '-3'",
+                     id="horizon-cap-negative"),
+        pytest.param("--horizon-cap", "0", "bad horizon cap '0'",
+                     id="horizon-cap-zero"),
+        pytest.param("--folds", "3..1",
+                     "bad fold range '3..1'; the range is empty",
+                     id="folds-empty-range"),
+    ])
+    def test_bad_flag_value_exits_two(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", golden("silver-meager"), flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_no_exhaustive_flag(self, capsys):
         code = main(["run", golden("silver-meager"), "--no-exhaustive",
                      "--deterministic"])

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treesum.constructions as constructions_mod
+import treesum.oracle as oracle_mod
 import treesum.trees as trees_mod
 from treesum.bits import Block, Partition, PatternSet, Point, restrict
 from treesum.covers import (
@@ -588,6 +592,18 @@ class TestPerfectE:
         lowered = ECover(c1.partition, c1.patterns, 0)
         assert not exhaustive_containment(E, res.tree_out, 1, lowered)
 
+    def test_witness_keeps_lower_fold_sums(self):
+        # every branch has a 1 at coordinate 1, so the tree's words on
+        # super-block [1, 5) miss 0, which its fold-0 check still needs
+        P = Partition.from_lengths([1] * 6)
+        E = ECover(P, tuple(pats(P[i], ["0"]) for i in range(6)), 0)
+        T = PrefixTree.from_leaves(
+            leaf for leaf in leaf_strings(PrefixTree.full(6)) if leaf[1] == "1"
+        )
+        res = shrink_perfect_e(E, T)
+        assert 0 not in tree_restrict(res.tree_out, Block(1, 5)).values
+        assert certify_request(res.witnesses[0].request).passed
+
     def test_density_audit(self):
         E = e_fixture()
         res = shrink_perfect_e(E, PrefixTree.full(12))
@@ -654,26 +670,40 @@ class TestPerfectPreconditions:
             assert is_subtree(res.tree_out, T)
 
 
+@st.composite
+def pattern_sets(draw):
+    """Pattern sets on blocks of 1-8 bits: empty, a singleton, full, or any
+    subset, with or without the zero word."""
+    length = draw(st.integers(1, 8))
+    lo = draw(st.integers(0, 3))
+    block = Block(lo, lo + length)
+    values = draw(st.one_of(
+        st.just(frozenset()),
+        st.integers(0, block.mask).map(lambda v: frozenset({v})),
+        st.just(frozenset(range(1 << length))),
+        st.frozensets(st.integers(0, block.mask)),
+        st.frozensets(st.integers(0, block.mask)).map(lambda vs: vs | {0}),
+    ))
+    return PatternSet(block, values)
+
+
 class TestFoldUnion:
+    # shrink_perfect_e's witness on super-block n absorbs every j-fold sum
+    # of J for j <= n as the n-fold sum of J ∪ {0}
     @pytest.mark.parametrize("up_to", range(5))
-    def test_union_of_nfolds_with_one_sum_per_fold(self, up_to, monkeypatch):
-        calls = []
-        pattern_sum = constructions_mod.pattern_sum
-        monkeypatch.setattr(
-            constructions_mod, "pattern_sum",
-            lambda J, K: calls.append(1) or pattern_sum(J, K),
-        )
-        rng = random.Random(up_to)
-        block = Block(2, 8)
-        for size in (1, 3, 9, 20):
-            J = PatternSet(block, frozenset(rng.sample(range(64), size)))
-            calls.clear()
-            got = constructions_mod._fold_union(J, up_to)
-            want = set()
-            for j in range(up_to + 1):
-                want |= pattern_nfold(J, j).values
-            assert got == PatternSet(block, frozenset(want))
-            assert len(calls) == up_to
+    @settings(max_examples=60, deadline=None)
+    @given(J=pattern_sets())
+    def test_union_of_nfolds_with_one_sum_per_fold(self, up_to, J):
+        want = set()
+        for j in range(up_to + 1):
+            want |= pattern_nfold(J, j).values
+        with_zero = PatternSet(J.block, J.values | {0})
+        with mock.patch.object(
+            oracle_mod, "pattern_sum", wraps=oracle_mod.pattern_sum
+        ) as spy:
+            got = pattern_nfold(with_zero, up_to)
+        assert got == PatternSet(J.block, frozenset(want))
+        assert spy.call_count == max(up_to - 1, 0)
 
 
 class TestFoldsArgument:

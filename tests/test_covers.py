@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from treesum.bits import Partition, PatternSet, Point, pattern_translate
+from treesum.bits import Partition, PatternSet, Point, pattern_sum
 from treesum.covers import (
     Certificate,
     CertificateRequest,
@@ -188,9 +188,8 @@ class TestECover:
                 )
                 J.append(PatternSet(b, vals))
             shifted = tuple(
-                pattern_translate(
+                pattern_sum(
                     Jn, PatternSet(b, frozenset({rng.randrange(1 << b.length)}))
-                    .words()[0],
                 )
                 for Jn, b in zip(J, P.blocks)
             )

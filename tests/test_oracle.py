@@ -29,16 +29,36 @@ from treesum.oracle import (
     exhaustive_containment,
     exhaustive_counterexample,
     nfold_body_sum,
-    nfold_body_sum_direct,
     pattern_nfold,
 )
-from treesum.trees import PrefixTree, SilverTree, body, silver_to_prefix
+from treesum.trees import (
+    PrefixTree,
+    SilverTree,
+    body,
+    silver_to_prefix,
+    tree_restrict,
+)
 
 
 def random_tree(rng: random.Random, horizon: int, max_leaves: int) -> PrefixTree:
     count = rng.randint(1, max_leaves)
     pool = rng.sample(range(1 << horizon), min(count, 1 << horizon))
     return PrefixTree(horizon, frozenset(pool))
+
+
+def nfold_body_sum_direct(T: PrefixTree, n: int) -> PatternSet:
+    """All XOR sums of n branches by brute enumeration of the n-tuples,
+    the reference for the iterated sums of `nfold_body_sum`."""
+    if n < 1:
+        raise ValueError("fold count must be at least 1")
+    words = body(T)
+    out = set()
+    for combo in itertools.product(range(len(words)), repeat=n):
+        v = 0
+        for i in combo:
+            v ^= words[i].value
+        out.add(v)
+    return PatternSet(Block(0, T.horizon), frozenset(out))
 
 
 def _admissible(cover, n: int) -> frozenset[int]:
@@ -172,8 +192,8 @@ class TestNfold:
         assert nfold_body_sum(T, n) == nfold_body_sum_direct(T, n)
 
     def test_budget_boundary(self):
-        # the charge is |acc|·|J| per round, so a budget of exactly the
-        # pairs spent passes and one less raises
+        # from J on, the charge is |acc|·|J| per sum, so a budget of exactly
+        # the pairs spent passes and one less raises
         T = PrefixTree.full(8)
         base = nfold_body_sum(T, 1)
         J = PatternSet(Block(0, 5), frozenset({1, 2, 4, 7, 8, 16, 31}))
@@ -184,13 +204,35 @@ class TestNfold:
             ),
             (
                 lambda budget: pattern_nfold(J, 3, budget),
-                len(J) * sum(len(pattern_nfold(J, r)) for r in (0, 1, 2)),
+                len(J) * sum(len(pattern_nfold(J, r)) for r in (1, 2)),
             ),
         ]
         for fold, spent in cases:
             assert len(fold(spent)) > 0
             with pytest.raises(BudgetExceeded):
                 fold(spent - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_body_sum_is_nfold_of_the_full_restriction(self, data):
+        # same set, and BudgetExceeded at the same budgets
+        horizon = data.draw(st.integers(1, 8))
+        leaves = data.draw(
+            st.frozensets(st.integers(0, (1 << horizon) - 1), min_size=1, max_size=24)
+        )
+        T = PrefixTree(horizon, leaves)
+        n = data.draw(st.integers(1, 4))
+        budget = data.draw(st.integers(0, 5000))
+
+        def outcome(fold, arg):
+            try:
+                return fold(arg, n, budget)
+            except BudgetExceeded:
+                return None
+
+        assert outcome(nfold_body_sum, T) == outcome(
+            pattern_nfold, tree_restrict(T, Block(0, horizon))
+        )
 
     def test_pattern_nfold_zero(self):
         J = PatternSet.from_bits(Block(2, 5), ["011", "100"])

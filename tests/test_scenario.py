@@ -214,6 +214,40 @@ class TestLoading:
         pytest.param(lambda d: d.update(index_sets={"A": [True]}),
                      "index set 'A': expected a list of integer coordinates",
                      id="index-set-bool"),
+        pytest.param(lambda d: d.update(horizon=12.9),
+                     "bad horizon 12.9", id="horizon-fraction"),
+        pytest.param(lambda d: d.update(horizon="12"),
+                     "bad horizon '12'", id="horizon-string"),
+        pytest.param(lambda d: d.update(horizon=True),
+                     "bad horizon True", id="horizon-bool"),
+        pytest.param(lambda d: d["covers"]["F"].update(threshold=1.5),
+                     "cover 'F': bad threshold 1.5", id="threshold-fraction"),
+        pytest.param(lambda d: d["covers"]["F"].update(threshold=True),
+                     "cover 'F': bad threshold True", id="threshold-bool"),
+        pytest.param(lambda d: d["covers"]["F"].update(threshold="2"),
+                     "cover 'F': bad threshold '2'", id="threshold-string"),
+        pytest.param(lambda d: d["covers"].update(E={
+            "kind": "e", "partition": "fine", "threshold": 2.0,
+            "patterns": [["00"]] * 6,
+        }), "cover 'E': bad threshold 2.0", id="e-threshold-float"),
+        pytest.param(lambda d: d["partitions"]["fine"].update(
+            lengths=[2, 2, 2, 2, 1.5, 2.5],
+        ), "partition 'fine': bad length 1.5", id="length-fraction"),
+        pytest.param(lambda d: d["partitions"]["fine"].update(
+            lengths=[2, 2, 2, 2, 2, 1, True],
+        ), "partition 'fine': bad length True", id="length-bool"),
+        pytest.param(lambda d: d["partitions"].update(
+            fine={"blocks": [[0, "2"], [2, 12]]},
+        ), "partition 'fine': bad block bound '2'", id="block-string"),
+        pytest.param(lambda d: d["partitions"].update(
+            fine={"blocks": [[0, 2.0], [2, 12]]},
+        ), "partition 'fine': bad block bound 2.0", id="block-float"),
+        pytest.param(lambda d: d["requests"][0].update(
+            tamper={"bundle": "meager", "fold": "1", "block": 2},
+        ), "request 0: bad tamper fold '1'", id="tamper-fold-string"),
+        pytest.param(lambda d: d["requests"][0].update(
+            tamper={"bundle": "meager", "fold": 1, "block": 2.7},
+        ), "request 0: bad tamper block 2.7", id="tamper-block-fraction"),
     ])
     def test_malformed_field_is_an_input_error(self, tmp_path, capsys,
                                                mutate, message):

