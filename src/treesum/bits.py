@@ -147,10 +147,6 @@ class Word:
     def bits(self) -> str:
         return _render_bits(self.value, self.block.length)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
     def restrict(self, sub: Block) -> "Word":
         if not self.block.covers(sub):
             raise ValueError(f"block {sub} not inside {self.block}")
@@ -196,11 +192,6 @@ class Point:
     def zero(cls, horizon: int) -> "Point":
         return cls(horizon, 0)
 
-    def bit(self, index: int) -> int:
-        if not (0 <= index < self.horizon):
-            raise ValueError(f"index {index} outside horizon {self.horizon}")
-        return (self.value >> (self.horizon - 1 - index)) & 1
-
     def bits(self) -> str:
         return _render_bits(self.value, self.horizon)
 
@@ -242,17 +233,6 @@ class PatternSet:
         for v in self.values:
             if not (0 <= v < top):
                 raise ValueError(f"value {v} out of range for block {self.block}")
-
-    @classmethod
-    def from_words(cls, words: Iterable[Word]) -> "PatternSet":
-        ws = list(words)
-        if not ws:
-            raise ValueError("cannot infer block from an empty word list")
-        block = ws[0].block
-        for w in ws:
-            if w.block != block:
-                raise ValueError(f"mixed blocks {block} and {w.block}")
-        return cls(block, frozenset(w.value for w in ws))
 
     @classmethod
     def from_bits(cls, block: Block, patterns: Iterable[str]) -> "PatternSet":

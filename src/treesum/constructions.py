@@ -60,18 +60,34 @@ class Provenance:
     warnings: tuple[str, ...] = ()
 
 
+_KINDS = {MeagerCover: "meager", SmallCover: "small", ECover: "e"}
+
+
 @dataclass(frozen=True)
 class WitnessBundle:
-    """Per-fold witness covers for one claim, plus the blockwise checks
-    that validate them and the numeric audit they must pass."""
+    """Per-fold witness covers for one claim and the certificate request
+    that replays them.  `point_source` is the input cover the exhaustive
+    oracle starts from (None for small covers, which have no point test);
+    `mass_bounds` are the per-fold bounds a small cover's mass is audited
+    against."""
 
-    label: str
-    kind: str
     per_fold: tuple[tuple[int, Cover], ...]
-    uniform_witness: bool
     request: CertificateRequest
-    audit_kind: str | None
-    audit_bounds: tuple[tuple[int, Fraction], ...]
+    point_source: MeagerCover | ECover | None
+    mass_bounds: tuple[tuple[int, Fraction], ...]
+
+    @property
+    def label(self) -> str:
+        return self.request.label
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[type(self.per_fold[0][1])]
+
+    @property
+    def uniform_witness(self) -> bool:
+        """Whether one cover serves every fold."""
+        return len({cover for _, cover in self.per_fold}) == 1
 
     def cover_for(self, fold: int) -> Cover:
         for f, cover in self.per_fold:
@@ -129,56 +145,53 @@ def _super_sizes() -> Iterable[int]:
     return ((2**n) ** (n + 1) for n in itertools.count())
 
 
-def _source(
-    cover: MeagerCover | ECover, ranges: list[tuple[int, int]]
-) -> tuple[PatternSet, ...]:
-    """Per group of fine blocks, the product of the cover's fine source
-    patterns: every word below its threshold, past it the allowed words of
-    a meager cover or the listed words of an E cover."""
-
-    def fine(j: int) -> PatternSet:
-        if j < cover.threshold:
-            return PatternSet.full(cover.partition[j])
-        if isinstance(cover, MeagerCover):
-            return cover.allowed(j)
-        return cover.patterns[j]
-
-    return tuple(
-        block_product([fine(j) for j in range(lo, hi)]) for lo, hi in ranges
-    )
-
-
 def _bundle(
     label: str,
     partition: Partition,
-    source: tuple[PatternSet, ...],
+    source: Cover,
     tree: PrefixTree,
     per_fold: Iterable[tuple[int, Cover]],
+    ranges: Sequence[tuple[int, int]] = (),
     bounds: Iterable[tuple[int, Fraction]] = (),
 ) -> WitnessBundle:
     """The witness bundle of per-fold covers of one type and the certificate
-    request that replays it against `tree`.  Small covers are audited
-    against the given per-fold mass bounds, E covers against density 1/2."""
+    request that replays it against `tree`.
+
+    A small source cover's patterns are the request's source as they stand,
+    and its witnesses are audited against the per-fold mass `bounds`.  A
+    meager or E source becomes the bundle's point source; per group of
+    fine blocks in `ranges`, the request's source is the product of its
+    fine patterns: every word below its threshold, past it the allowed
+    words of a meager cover or the listed words of an E cover.
+    """
     per_fold = tuple(per_fold)
-    cover = per_fold[0][1]
-    if isinstance(cover, MeagerCover):
-        kind, audit = "meager", None
-        targets = tuple(
-            (b, tuple(c.allowed(k) for k in range(len(partition))))
-            for b, c in per_fold
-        )
+
+    def fine(j: int) -> PatternSet:
+        if j < source.threshold:
+            return PatternSet.full(source.partition[j])
+        if isinstance(source, MeagerCover):
+            return source.allowed(j)
+        return source.patterns[j]
+
+    if isinstance(source, SmallCover):
+        patterns, point_source = source.patterns, None
     else:
-        targets = tuple((b, c.patterns) for b, c in per_fold)
-        if isinstance(cover, SmallCover):
-            kind, audit = "small", "mass"
-        else:
-            kind, audit = "e", "max_density"
-            bounds = ((b, Fraction(1, 2)) for b, _ in per_fold)
-    thresholds = tuple((b, getattr(c, "threshold", 0)) for b, c in per_fold)
-    request = CertificateRequest(label, partition, source, tree, targets, thresholds)
-    return WitnessBundle(
-        label, kind, per_fold, _uniform(per_fold), request, audit, tuple(bounds)
+        patterns = tuple(
+            block_product([fine(j) for j in range(lo, hi)]) for lo, hi in ranges
+        )
+        point_source = source
+    rows = tuple(
+        (
+            b,
+            getattr(c, "threshold", 0),
+            tuple(c.allowed(k) for k in range(len(partition)))
+            if isinstance(c, MeagerCover)
+            else c.patterns,
+        )
+        for b, c in per_fold
     )
+    request = CertificateRequest(label, partition, patterns, tree, rows)
+    return WitnessBundle(per_fold, request, point_source, tuple(bounds))
 
 
 def _least_free(free: frozenset[int], blocks: Iterable[Block]) -> list[int]:
@@ -211,10 +224,6 @@ def _set_block(value: int, horizon: int, blk: Block, pattern: int) -> int:
 
 def _format_coords(coords) -> str:
     return ",".join(str(c) for c in sorted(coords)) if coords else "-"
-
-
-def _uniform(per_fold: tuple[tuple[int, Cover], ...]) -> bool:
-    return len({cover for _, cover in per_fold}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +259,7 @@ def shrink_silver_meager(
         per_fold.append((b, MeagerCover(x, coarse, threshold)))
 
     bundle = _bundle(
-        "meager", coarse, _source(F, ranges), silver_to_prefix(tree_out), per_fold
+        "meager", coarse, F, silver_to_prefix(tree_out), per_fold, ranges
     )
     prov = Provenance(
         "shrink_silver_meager",
@@ -358,7 +367,7 @@ def shrink_perfect_meager(
         (b, MeagerCover(x_H, supers, min(max(b, base), len(supers))))
         for b in folds
     )
-    bundle = _bundle("meager", supers, _source(F, ranges), tree_out, per_fold)
+    bundle = _bundle("meager", supers, F, tree_out, per_fold, ranges)
     prov = Provenance(
         "shrink_perfect_meager",
         (
@@ -405,7 +414,7 @@ def build_splitting_meager(
         thr = base if b == 0 else max(base, b + 1)
         per_fold.append((b, MeagerCover(x_w, supers, min(thr, len(supers)))))
 
-    bundle = _bundle("meager", supers, _source(F, ranges), tree_out, per_fold)
+    bundle = _bundle("meager", supers, F, tree_out, per_fold, ranges)
     prov = Provenance(
         "build_splitting_meager",
         (
@@ -444,8 +453,8 @@ def shrink_silver_small(
     ))
     bound = 4 * F.mass
     bundle = _bundle(
-        "small", P, F.patterns, silver_to_prefix(tree_out),
-        ((b, witness) for b in folds), ((b, bound) for b in folds),
+        "small", P, F, silver_to_prefix(tree_out),
+        ((b, witness) for b in folds), bounds=((b, bound) for b in folds),
     )
     prov = Provenance(
         "shrink_silver_small",
@@ -468,15 +477,8 @@ def _compose_two_smalls(
     bundles = []
     for stage, res in (("1", first), ("2", second)):
         b = res.witnesses[0]
-        bundles.append(
-            replace(
-                b,
-                label=f"small-{stage}",
-                request=replace(
-                    b.request.with_tree(final_prefix), label=f"small-{stage}"
-                ),
-            )
-        )
+        request = replace(b.request, label=f"small-{stage}", tree=final_prefix)
+        bundles.append(replace(b, request=request))
     details = (
         tuple((f"first.{k}", v) for k, v in first.provenance.details)
         + tuple((f"second.{k}", v) for k, v in second.provenance.details)
@@ -593,8 +595,8 @@ def shrink_perfect_small(
 
     mass = F.mass
     bundle = _bundle(
-        "small", P, F.patterns, tree_out, per_fold,
-        ((b, (1 << (b * b)) * mass) for b in folds),
+        "small", P, F, tree_out, per_fold,
+        bounds=((b, (1 << (b * b)) * mass) for b in folds),
     )
     prov = Provenance(
         "shrink_perfect_small",
@@ -694,8 +696,8 @@ def build_splitting_null(
         witness = SmallCover(P, tuple(pats))
         bound = 8 * small.mass
         bundles.append(_bundle(
-            label, P, small.patterns, tree_out,
-            ((b, witness) for b in folds), ((b, bound) for b in folds),
+            label, P, small, tree_out,
+            ((b, witness) for b in folds), bounds=((b, bound) for b in folds),
         ))
     prov = Provenance(
         "build_splitting_null",
@@ -734,7 +736,7 @@ def shrink_mn(
         raise ValueError(f"unknown kind {kind!r}")
     final_prefix = null.tree_as_prefix()
     mb = meager.witnesses[0]
-    mb = replace(mb, request=mb.request.with_tree(final_prefix))
+    mb = replace(mb, request=replace(mb.request, tree=final_prefix))
     prov = Provenance(
         "shrink_mn",
         (("kind", kind),)
@@ -809,8 +811,8 @@ def shrink_silver_e(
         for blk, (lo, hi) in zip(triples, ranges)
     ), threshold)
     bundle = _bundle(
-        "e", triples, _source(E, ranges), silver_to_prefix(tree_out),
-        ((b, witness) for b in folds),
+        "e", triples, E, silver_to_prefix(tree_out),
+        ((b, witness) for b in folds), ranges,
     )
     prov = Provenance(
         "shrink_silver_e",
@@ -861,7 +863,7 @@ def shrink_perfect_e(
         (b, ECover(supers, witness_patterns, min(max(b, base), len(supers))))
         for b in folds
     )
-    bundle = _bundle("e", supers, _source(E, ranges), tree_out, per_fold)
+    bundle = _bundle("e", supers, E, tree_out, per_fold, ranges)
     prov = Provenance(
         "shrink_perfect_e",
         (
@@ -912,7 +914,7 @@ def build_splitting_e(
         for blk, a, (lo, hi) in zip(triples, A, ranges)
     ), threshold)
     bundle = _bundle(
-        "e", triples, _source(E, ranges), tree_out, ((b, witness) for b in folds)
+        "e", triples, E, tree_out, ((b, witness) for b in folds), ranges
     )
     prov = Provenance(
         "build_splitting_e",

@@ -10,7 +10,7 @@ covers deliberately have no point test, see the module notes in README.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import Partition, PatternSet, Point, restrict
@@ -175,9 +175,6 @@ class BlockCheck:
 
     fold: int
     block_index: int
-    source: PatternSet
-    tree_patterns: PatternSet
-    target: PatternSet
     passed: bool
 
 
@@ -199,60 +196,26 @@ class Certificate:
             fold for fold, thr in self.thresholds if thr >= len(self.partition)
         )
 
-    def merged_with(self, other: Certificate) -> Certificate:
-        if other.partition != self.partition:
-            raise ValueError("cannot merge certificates over different partitions")
-        return Certificate(
-            self.label,
-            self.partition,
-            self.thresholds + other.thresholds,
-            self.checks + other.checks,
-        )
-
 
 @dataclass(frozen=True)
 class CertificateRequest:
     """Everything needed to (re)run the blockwise checks of one witness:
-    per-block source patterns, the tree whose fold-sums shift them, and
-    per-fold target patterns with the first block each fold is checked at.
+    per-block source patterns, the tree whose fold-sums shift them, and one
+    row per fold of (fold, first block checked, per-block target patterns).
     """
 
     label: str
     partition: Partition
     source: tuple[PatternSet, ...]
     tree: PrefixTree
-    targets: tuple[tuple[int, tuple[PatternSet, ...]], ...]
-    thresholds: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, int, tuple[PatternSet, ...]], ...]
 
     def __post_init__(self):
         _check_blockwise(self.partition, self.source)
-        for _, row in self.targets:
-            _check_blockwise(self.partition, row)
-        if tuple(f for f, _ in self.targets) != tuple(f for f, _ in self.thresholds):
-            raise ValueError("target and threshold folds disagree")
-
-    @property
-    def folds(self) -> tuple[int, ...]:
-        return tuple(f for f, _ in self.targets)
-
-    def targets_for(self, fold: int) -> tuple[PatternSet, ...]:
-        for f, row in self.targets:
-            if f == fold:
-                return row
-        raise ValueError(f"no targets for fold {fold}")
-
-    def threshold_for(self, fold: int) -> int:
-        for f, thr in self.thresholds:
-            if f == fold:
-                return thr
-        raise ValueError(f"no threshold for fold {fold}")
-
-    def with_tree(self, tree: PrefixTree) -> CertificateRequest:
-        """Same checks against another tree (used when a later shrink step
-        must revalidate an earlier witness against the final tree)."""
-        if tree.horizon != self.tree.horizon:
-            raise ValueError("replacement tree horizon differs")
-        return replace(self, tree=tree)
+        for _, _, targets in self.rows:
+            _check_blockwise(self.partition, targets)
+        if self.partition.horizon > self.tree.horizon:
+            raise ValueError("witness partition reaches past the tree horizon")
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .bits import (
     Block,
-    Partition,
     PatternSet,
     Point,
     _from_bitset,
@@ -32,6 +30,7 @@ from .covers import (
     CertificateRequest,
     ECover,
     MeagerCover,
+    SmallCover,
     e_density_audit,
 )
 from .trees import PrefixTree, tree_restrict
@@ -77,65 +76,22 @@ def nfold_body_sum(
     return pattern_nfold(tree_restrict(T, Block(0, T.horizon)), n, budget)
 
 
-def blockwise_certify(
-    source: Sequence[PatternSet],
-    T: PrefixTree,
-    folds: Iterable[int],
-    witness: Sequence[PatternSet],
-    thresholds: Mapping[int, int],
-    label: str = "blockwise",
-    budget: int = DEFAULT_BUDGET,
-) -> Certificate:
-    """Check source + b-fold tree patterns against the witness, block by
-    block from each fold's threshold on."""
-    if len(source) != len(witness):
-        raise ValueError(
-            f"{len(source)} source blocks vs {len(witness)} witness blocks"
-        )
-    for s, w in zip(source, witness):
-        if s.block != w.block:
-            raise ValueError(f"partition misalignment: {s.block} vs {w.block}")
-    partition = Partition(tuple(w.block for w in witness))
-    if partition.horizon > T.horizon:
-        raise ValueError("witness partition reaches past the tree horizon")
-
-    checks = []
-    fold_list = sorted(set(folds))
-    for b in fold_list:
-        thr = thresholds[b]
-        for n in range(thr, len(partition)):
-            blk = partition[n]
-            tree_patterns = pattern_nfold(tree_restrict(T, blk), b, budget)
-            shifted = pattern_sum(source[n], tree_patterns)
-            checks.append(
-                BlockCheck(
-                    b, n, source[n], tree_patterns, witness[n],
-                    shifted.is_subset(witness[n]),
-                )
-            )
-    thr_pairs = tuple((b, thresholds[b]) for b in fold_list)
-    return Certificate(label, partition, thr_pairs, tuple(checks))
-
-
 def certify_request(
     req: CertificateRequest, budget: int = DEFAULT_BUDGET
 ) -> Certificate:
-    """Run a stored request: one blockwise pass per fold against that
-    fold's target patterns, merged into a single certificate."""
-    cert = Certificate(req.label, req.partition, (), ())
-    for b in req.folds:
-        cert = cert.merged_with(
-            blockwise_certify(
-                req.source,
-                req.tree,
-                [b],
-                req.targets_for(b),
-                {b: req.threshold_for(b)},
-                label=req.label,
-                budget=budget,
+    """Run a stored request: for each fold row, check source + b-fold tree
+    patterns against that fold's targets, block by block from its
+    threshold on."""
+    checks = []
+    for b, thr, targets in req.rows:
+        for n in range(thr, len(req.partition)):
+            tree_patterns = pattern_nfold(
+                tree_restrict(req.tree, req.partition[n]), b, budget
             )
-        )
-    return cert
+            shifted = pattern_sum(req.source[n], tree_patterns)
+            checks.append(BlockCheck(b, n, shifted.is_subset(targets[n])))
+    thresholds = tuple((b, thr) for b, thr, _ in req.rows)
+    return Certificate(req.label, req.partition, thresholds, tuple(checks))
 
 
 PointCover = MeagerCover | ECover
@@ -292,21 +248,19 @@ class AuditRow:
 
 
 def density_audit_table(bundle) -> tuple[AuditRow, ...]:
-    """Numeric audit of a per-fold witness family: total mass for small
-    witnesses, max block density for the 1/2 regime.  Families without a
-    numeric audit (meager witnesses) produce an empty table."""
-    kind = bundle.audit_kind
-    if kind is None:
-        return ()
-    bounds = dict(bundle.audit_bounds)
+    """Numeric audit of a per-fold witness family: a small cover's total
+    mass against the bundle's mass bound for its fold, an E cover's max
+    block density against 1/2.  Meager covers have no numeric audit and
+    produce no rows."""
+    bounds = dict(bundle.mass_bounds)
     rows = []
     for fold, cover in bundle.per_fold:
-        if kind == "mass":
-            value = cover.mass
-        elif kind == "max_density":
-            value = e_density_audit(cover)[0]
+        if isinstance(cover, SmallCover):
+            kind, value, bound = "mass", cover.mass, bounds[fold]
+        elif isinstance(cover, ECover):
+            kind, value = "max_density", e_density_audit(cover)[0]
+            bound = Fraction(1, 2)
         else:
-            raise ValueError(f"unknown audit kind {kind!r}")
-        bound = bounds[fold]
+            continue
         rows.append(AuditRow(fold, kind, value, bound, value <= bound))
     return tuple(rows)

@@ -128,6 +128,14 @@ def _int(value, field: str, where: str = "", least: int = 0) -> int:
     return value
 
 
+def _str(value, field: str, where: str = "") -> str:
+    """A string field, read strictly: no other JSON value is coerced."""
+    if not isinstance(value, str):
+        prefix = f"{where}: " if where else ""
+        raise ScenarioError(f"{prefix}bad {field} {value!r}: expected a string")
+    return value
+
+
 def _bit_string(text, where: str) -> str:
     if not isinstance(text, str) or not text or any(c not in "01" for c in text):
         raise ScenarioError(f"{where}: expected a nonempty 0/1 string, got {text!r}")
@@ -215,6 +223,11 @@ def _load_patterns(partition: Partition, raw, where: str) -> tuple[PatternSet, .
     out = []
     for n, block_pats in enumerate(raw):
         block = partition[n]
+        if not isinstance(block_pats, list):
+            raise ScenarioError(
+                f"{where}: block {n} patterns must be a list of 0/1 strings, "
+                f"got {block_pats!r}"
+            )
         words = [_bit_string(w, where) for w in block_pats]
         for w in words:
             if len(w) != block.length:
@@ -257,7 +270,13 @@ def _load_cover(name: str, spec, scn, horizon: int):
         if kind == "chain":
             stages = []
             for i, st in enumerate(spec.get("stages", ())):
-                nodes = tuple(_bit_string(s, f"{where} stage {i}") for s in st["nodes"])
+                raw_nodes = st["nodes"]
+                if not isinstance(raw_nodes, list):
+                    raise ScenarioError(
+                        f"{where} stage {i}: nodes must be a list of 0/1 "
+                        f"strings, got {raw_nodes!r}"
+                    )
+                nodes = tuple(_bit_string(s, f"{where} stage {i}") for s in raw_nodes)
                 for s in nodes:
                     if len(s) > horizon:
                         raise ScenarioError(
@@ -277,52 +296,36 @@ def _load_cover(name: str, spec, scn, horizon: int):
 
 # Per operation: its arguments in call order, each a scenario reference
 # (request key, accepted types), the request field "uniform" or "kind", or
-# the run's "folds"; and the bundle labels that admit a point-level check,
-# mapped to the argument holding their source cover.  The callable is looked
-# up by name when a request runs, so rebinding a module attribute reaches it.
+# the run's "folds".  The callable is looked up by name when a request runs,
+# so rebinding a module attribute reaches it.
 _OPS = {
-    "shrink_silver_meager": (
-        (("cover", MeagerCover), ("tree", SilverTree), "folds"), {"meager": "cover"},
-    ),
+    "shrink_silver_meager": (("cover", MeagerCover), ("tree", SilverTree), "folds"),
     "shrink_perfect_meager": (
-        (("cover", MeagerCover), ("tree", PrefixTree), "uniform", "folds"),
-        {"meager": "cover"},
+        ("cover", MeagerCover), ("tree", PrefixTree), "uniform", "folds",
     ),
-    "build_splitting_meager": (
-        (("cover", MeagerCover), "folds"), {"meager": "cover"},
-    ),
-    "shrink_silver_small": (
-        (("cover", SmallCover), ("tree", SilverTree), "folds"), {},
-    ),
-    "shrink_silver_null": (
-        (("cover", NullCover), ("tree", SilverTree), "folds"), {},
-    ),
+    "build_splitting_meager": (("cover", MeagerCover), "folds"),
+    "shrink_silver_small": (("cover", SmallCover), ("tree", SilverTree), "folds"),
+    "shrink_silver_null": (("cover", NullCover), ("tree", SilverTree), "folds"),
     "shrink_perfect_small": (
-        (("cover", SmallCover), ("tree", PrefixTree), "uniform", "folds"), {},
+        ("cover", SmallCover), ("tree", PrefixTree), "uniform", "folds",
     ),
     "shrink_perfect_null": (
-        (("cover", NullCover), ("tree", PrefixTree), "uniform", "folds"), {},
+        ("cover", NullCover), ("tree", PrefixTree), "uniform", "folds",
     ),
-    "build_splitting_null": ((("cover", NullCover), "folds"), {}),
+    "build_splitting_null": (("cover", NullCover), "folds"),
     "shrink_mn": (
-        (
-            ("meager", MeagerCover),
-            ("null", NullCover),
-            ("tree", (SilverTree, PrefixTree)),
-            "kind",
-            "folds",
-        ),
-        {"meager": "meager"},
+        ("meager", MeagerCover),
+        ("null", NullCover),
+        ("tree", (SilverTree, PrefixTree)),
+        "kind",
+        "folds",
     ),
-    "simplify_e_cover": ((("chain", ClosedNullChain),), {}),
-    "shrink_silver_e": (
-        (("cover", ECover), ("tree", SilverTree), "folds"), {"e": "cover"},
-    ),
+    "simplify_e_cover": (("chain", ClosedNullChain),),
+    "shrink_silver_e": (("cover", ECover), ("tree", SilverTree), "folds"),
     "shrink_perfect_e": (
-        (("cover", ECover), ("tree", PrefixTree), "uniform", "folds"),
-        {"e": "cover"},
+        ("cover", ECover), ("tree", PrefixTree), "uniform", "folds",
     ),
-    "build_splitting_e": ((("cover", ECover), "folds"), {"e": "cover"}),
+    "build_splitting_e": (("cover", ECover), "folds"),
 }
 
 
@@ -347,7 +350,7 @@ def _load_request(i: int, spec, trees: dict, covers: dict) -> Request:
     if op not in _OPS:
         raise ScenarioError(f"{where}: unknown operation name {op!r}")
     args = {}
-    for arg in _OPS[op][0]:
+    for arg in _OPS[op]:
         if arg == "uniform":
             uniform = spec.get("uniform", False)
             if type(uniform) is not bool:
@@ -378,13 +381,17 @@ def _load_request(i: int, spec, trees: dict, covers: dict) -> Request:
     tamper = None
     if "tamper" in spec:
         t = spec["tamper"]
+        if not isinstance(t, dict):
+            raise ScenarioError(
+                f"{where}: bad tamper spec {t!r}: expected an object"
+            )
         try:
             tamper = Tamper(
-                str(t["bundle"]),
+                _str(t["bundle"], "tamper bundle", where),
                 _int(t["fold"], "tamper fold", where),
                 _int(t["block"], "tamper block", where),
             )
-        except (KeyError, TypeError) as err:
+        except KeyError as err:
             raise ScenarioError(f"{where}: bad tamper spec: {err}") from None
     return Request(op, args, folds, tamper)
 
@@ -410,7 +417,7 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
     if "horizon" not in raw:
         raise ScenarioError("scenario is missing 'horizon'")
     horizon = _int(raw["horizon"], "horizon", least=1)
-    name = str(raw.get("name", name_hint))
+    name = _str(raw.get("name", name_hint), "name")
 
     partitions = {
         str(k): _load_partition(k, v, horizon)
@@ -467,33 +474,28 @@ def _apply_tamper(request_obj, tamper: Tamper):
     resulting certificate must fail."""
     if tamper.block >= len(request_obj.partition):
         raise ScenarioError(f"tamper block {tamper.block} out of range")
-    if tamper.fold not in request_obj.folds:
+    row = next((r for r in request_obj.rows if r[0] == tamper.fold), None)
+    if row is None:
         raise ScenarioError(f"tamper fold {tamper.fold} not requested")
-    if tamper.block < request_obj.threshold_for(tamper.fold):
+    fold, threshold, targets = row
+    if tamper.block < threshold:
         raise ScenarioError(
             f"tamper block {tamper.block} is below the fold {tamper.fold} "
             "threshold; the certificate would not consult it"
         )
     blk = request_obj.partition[tamper.block]
-    tree_patterns = pattern_nfold(
-        tree_restrict(request_obj.tree, blk), tamper.fold
-    )
+    tree_patterns = pattern_nfold(tree_restrict(request_obj.tree, blk), fold)
     image = pattern_sum(request_obj.source[tamper.block], tree_patterns)
     if not image.values:
         raise ScenarioError("tamper target block has an empty fold image")
-    victim = min(image.values)
-    new_targets = []
-    for b, tgt in request_obj.targets:
-        if b == tamper.fold:
-            mutated = list(tgt)
-            old = mutated[tamper.block]
-            mutated[tamper.block] = PatternSet(
-                old.block, old.values - {victim}
-            )
-            new_targets.append((b, tuple(mutated)))
-        else:
-            new_targets.append((b, tgt))
-    return replace(request_obj, targets=tuple(new_targets))
+    old = targets[tamper.block]
+    mutated = list(targets)
+    mutated[tamper.block] = PatternSet(old.block, old.values - {min(image.values)})
+    rows = tuple(
+        (fold, threshold, tuple(mutated)) if r is row else r
+        for r in request_obj.rows
+    )
+    return replace(request_obj, rows=rows)
 
 
 def _frac(x: Fraction) -> str:
@@ -529,15 +531,14 @@ def _certificate_entry(cert: Certificate) -> dict:
     }
 
 
-def _witness_entries(result, req, flags, tampered_label):
-    sources = {label: req.args[key] for label, key in _OPS[req.op][1].items()}
-    prefix = result.tree_as_prefix()
+def _witness_entries(witnesses, tamper, flags):
     entries = []
     request_pass = True
-    for bundle in result.witnesses:
+    for bundle in witnesses:
+        tampered = tamper is not None and tamper.bundle == bundle.label
         request_obj = bundle.request
-        if tampered_label == bundle.label:
-            request_obj = _apply_tamper(request_obj, req.tamper)
+        if tampered:
+            request_obj = _apply_tamper(request_obj, tamper)
         try:
             cert = certify_request(request_obj)
         except BudgetExceeded as err:
@@ -553,7 +554,7 @@ def _witness_entries(result, req, flags, tampered_label):
             "label": bundle.label,
             "kind": bundle.kind,
             "uniform_witness": bundle.uniform_witness,
-            "tampered": tampered_label == bundle.label,
+            "tampered": tampered,
             "certificate": _certificate_entry(cert),
             "covers": [
                 {
@@ -581,17 +582,17 @@ def _witness_entries(result, req, flags, tampered_label):
                 for r in rows
             ]
             request_pass = request_pass and all(r.passed for r in rows)
-        source = sources.get(bundle.label)
+        source, tree = bundle.point_source, bundle.request.tree
         if (
             source is not None
             and flags.exhaustive
-            and prefix.horizon <= flags.horizon_cap
-            and tampered_label != bundle.label
+            and tree.horizon <= flags.horizon_cap
+            and not tampered
         ):
             try:
                 ex = {
                     str(b): exhaustive_containment(
-                        source, prefix, b, cover, cap=flags.horizon_cap
+                        source, tree, b, cover, cap=flags.horizon_cap
                     )
                     for b, cover in bundle.per_fold
                 }
@@ -603,7 +604,7 @@ def _witness_entries(result, req, flags, tampered_label):
                 request_pass = request_pass and all(ex.values())
                 failed = {
                     b: exhaustive_counterexample(
-                        source, prefix, b, cover, cap=flags.horizon_cap
+                        source, tree, b, cover, cap=flags.horizon_cap
                     )
                     for b, cover in bundle.per_fold
                     if not ex[str(b)]
@@ -625,7 +626,7 @@ def _run_request(i: int, req: Request, flags: RunFlags) -> tuple[dict, bool]:
     folds = req.folds if req.folds is not None else flags.folds
     entry = {"index": i, "op": req.op}
     t0 = time.perf_counter()
-    names = (arg if isinstance(arg, str) else arg[0] for arg in _OPS[req.op][0])
+    names = (arg if isinstance(arg, str) else arg[0] for arg in _OPS[req.op])
     call_args = [folds if name == "folds" else req.args[name] for name in names]
     try:
         result = globals()[req.op](*call_args)
@@ -645,12 +646,11 @@ def _run_request(i: int, req: Request, flags: RunFlags) -> tuple[dict, bool]:
         }
         passed = ok
     else:
-        tampered_label = req.tamper.bundle if req.tamper else None
-        if tampered_label is not None and tampered_label not in {
+        if req.tamper and req.tamper.bundle not in {
             w.label for w in result.witnesses
         }:
             raise ScenarioError(
-                f"request {i}: tamper names unknown bundle {tampered_label!r}"
+                f"request {i}: tamper names unknown bundle {req.tamper.bundle!r}"
             )
         entry["tree"] = _tree_entry(result)
         entry["provenance"] = {
@@ -659,7 +659,7 @@ def _run_request(i: int, req: Request, flags: RunFlags) -> tuple[dict, bool]:
             "warnings": list(result.provenance.warnings),
         }
         witness_entries, passed = _witness_entries(
-            result, req, flags, tampered_label
+            result.witnesses, req.tamper, flags
         )
         entry["witnesses"] = witness_entries
     entry["passed"] = passed

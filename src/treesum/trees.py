@@ -138,12 +138,6 @@ class PrefixTree:
             v for v in self.levels[depth] if (v << 1) in nxt and ((v << 1) | 1) in nxt
         )
 
-    def nodes(self) -> Iterator[tuple[int, int]]:
-        """All (depth, value) pairs, shallow to deep, values ascending."""
-        for d in range(self.horizon + 1):
-            for v in sorted(self.levels[d]):
-                yield d, v
-
     def __len__(self) -> int:
         return len(self.leaves)
 

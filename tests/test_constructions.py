@@ -638,13 +638,13 @@ class TestSplittingE:
         res = build_splitting_e(E)
         req = res.witnesses[0].request
         clipped = []
-        for b, target in req.targets:
+        for b, thr, target in req.rows:
             # drop one pattern from the first block of each fold's target
             first = target[0]
             kept = PatternSet(first.block, frozenset(list(first.values)[1:]))
-            clipped.append((b, (kept,) + target[1:]))
+            clipped.append((b, thr, (kept,) + target[1:]))
         from dataclasses import replace
-        bad = replace(req, targets=tuple(clipped))
+        bad = replace(req, rows=tuple(clipped))
         assert not certify_request(bad).passed
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from treesum.bits import Partition, PatternSet, Point, pattern_sum
 from treesum.covers import (
+    BlockCheck,
     Certificate,
-    CertificateRequest,
     ClosedNullChain,
     ECover,
     MeagerCover,
@@ -20,8 +20,6 @@ from treesum.covers import (
     meager_member,
     strict_e_to_simple,
 )
-from treesum.trees import PrefixTree
-
 
 def patterns_on(P: Partition, *pattern_lists: list[str]) -> tuple[PatternSet, ...]:
     assert len(pattern_lists) == len(P)
@@ -230,50 +228,14 @@ class TestStrictToSimple:
 
 
 class TestCertificateTypes:
-    def make_request(self):
-        P = Partition.from_lengths([1, 1])
-        src = patterns_on(P, ["0"], ["1"])
-        tgt = patterns_on(P, ["0", "1"], ["1"])
-        T = PrefixTree.full(2)
-        return CertificateRequest(
-            "demo", P, src, T, ((0, tgt), (1, tgt)), ((0, 0), (1, 1))
-        )
-
-    def test_request_accessors(self):
-        req = self.make_request()
-        assert req.folds == (0, 1)
-        assert req.threshold_for(1) == 1
-        assert len(req.targets_for(0)) == 2
-        with pytest.raises(ValueError):
-            req.threshold_for(2)
-
-    def test_request_fold_mismatch(self):
-        req = self.make_request()
-        with pytest.raises(ValueError):
-            CertificateRequest(
-                "demo", req.partition, req.source, req.tree,
-                req.targets, ((0, 0),),
-            )
-
-    def test_with_tree(self):
-        req = self.make_request()
-        S = PrefixTree.from_leaves(["01"])
-        assert req.with_tree(S).tree is S
-        with pytest.raises(ValueError):
-            req.with_tree(PrefixTree.full(3))
-
     def test_certificate_flags(self):
-        req = self.make_request()
-        from treesum.covers import BlockCheck
-
-        good = BlockCheck(0, 0, req.source[0], req.source[0], req.source[0], True)
-        bad = BlockCheck(1, 1, req.source[1], req.source[1], req.source[1], False)
-        cert = Certificate("demo", req.partition, ((0, 0), (1, 2)), (good,))
+        P = Partition.from_lengths([1, 1])
+        good = BlockCheck(0, 0, True)
+        bad = BlockCheck(1, 1, False)
+        cert = Certificate("demo", P, ((0, 0), (1, 2)), (good,))
         assert cert.passed
         assert cert.vacuous_folds == (1,)
-        assert not cert.merged_with(
-            Certificate("demo", req.partition, (), (bad,))
-        ).passed
+        assert not Certificate("demo", P, ((0, 0), (1, 2)), (good, bad)).passed
 
 
 class TestClosedNullChain:

@@ -23,7 +23,6 @@ from treesum.oracle import (
     AuditRow,
     BudgetExceeded,
     Counterexample,
-    blockwise_certify,
     certify_request,
     density_audit_table,
     exhaustive_containment,
@@ -261,6 +260,13 @@ class TestNfold:
                 assert pattern_nfold(J, n).values == direct
 
 
+def blockwise_request(src, T, witness, thresholds):
+    """A request checking every fold in `thresholds` against one witness."""
+    P = Partition(tuple(w.block for w in witness))
+    rows = tuple((b, thr, witness) for b, thr in thresholds.items())
+    return CertificateRequest("blockwise", P, src, T, rows)
+
+
 class TestBlockwiseCertify:
     def setup_state(self):
         P = Partition.from_lengths([2, 2])
@@ -273,16 +279,20 @@ class TestBlockwiseCertify:
     def test_full_witness_passes(self):
         P, src, T = self.setup_state()
         witness = tuple(PatternSet.full(b) for b in P.blocks)
-        cert = blockwise_certify(src, T, [0, 1, 2], witness, {0: 0, 1: 0, 2: 0})
+        cert = certify_request(
+            blockwise_request(src, T, witness, {0: 0, 1: 0, 2: 0})
+        )
         assert cert.passed
         assert len(cert.checks) == 6
 
     def test_zero_fold_needs_superset(self):
         P, src, T = self.setup_state()
-        cert = blockwise_certify(src, T, [0], src, {0: 0})
+        cert = certify_request(blockwise_request(src, T, src, {0: 0}))
         assert cert.passed
         tight = tuple(PatternSet.from_bits(b, ["10"]) for b in P.blocks)
-        assert not blockwise_certify(src, T, [0], tight, {0: 0}).passed
+        assert not certify_request(
+            blockwise_request(src, T, tight, {0: 0})
+        ).passed
 
     def test_threshold_skips_blocks(self):
         P, src, T = self.setup_state()
@@ -290,20 +300,22 @@ class TestBlockwiseCertify:
             PatternSet.empty(P[0]),
             PatternSet.full(P[1]),
         )
-        cert = blockwise_certify(src, T, [1], bad, {1: 1})
+        cert = certify_request(blockwise_request(src, T, bad, {1: 1}))
         assert cert.passed
         assert [c.block_index for c in cert.checks] == [1]
 
     def test_misalignment_rejected(self):
         P, src, T = self.setup_state()
         with pytest.raises(ValueError):
-            blockwise_certify(src[:1], T, [0], src, {0: 0})
+            blockwise_request(src[:1], T, src, {0: 0})
         skew = (
             PatternSet.full(Block(0, 3)),
             PatternSet.full(Block(3, 4)),
         )
         with pytest.raises(ValueError):
-            blockwise_certify(src, T, [0], skew, {0: 0})
+            blockwise_request(src, T, skew, {0: 0})
+        with pytest.raises(ValueError, match="past the tree horizon"):
+            blockwise_request(src, PrefixTree.full(3), src, {0: 0})
 
     def test_silver_witness_certifies(self):
         # hand-built instance of the blockwise claim a shrink emits: the
@@ -319,12 +331,14 @@ class TestBlockwiseCertify:
             pattern_sum(src[n], tree_restrict(T, b))
             for n, b in enumerate(P.blocks)
         )
-        assert blockwise_certify(src, T, [1], witness, {1: 0}).passed
+        assert certify_request(blockwise_request(src, T, witness, {1: 0})).passed
         clipped = (
             PatternSet(witness[0].block, frozenset(list(witness[0].values)[:1])),
             witness[1],
         )
-        assert not blockwise_certify(src, T, [1], clipped, {1: 0}).passed
+        assert not certify_request(
+            blockwise_request(src, T, clipped, {1: 0})
+        ).passed
 
 
 class TestCertifyRequest:
@@ -334,15 +348,14 @@ class TestCertifyRequest:
         full = tuple(PatternSet.full(b) for b in P.blocks)
         T = PrefixTree.full(2)
         req = CertificateRequest(
-            "demo", P, src, T,
-            ((0, full), (2, full)),
-            ((0, 0), (2, 1)),
+            "demo", P, src, T, ((0, 0, full), (2, 1, full)),
         )
         cert = certify_request(req)
         assert cert.passed
         assert {(c.fold, c.block_index) for c in cert.checks} == {
             (0, 0), (0, 1), (2, 1),
         }
+        assert cert.thresholds == ((0, 0), (2, 1))
         assert cert.label == "demo"
 
 
@@ -518,18 +531,15 @@ class TestExhaustive:
 
 @dataclass(frozen=True)
 class FakeBundle:
-    audit_kind: str | None
     per_fold: tuple
-    audit_bounds: tuple
+    mass_bounds: tuple = ()
 
 
 class TestAuditTable:
     def test_no_audit(self):
         P = Partition.from_lengths([2])
         cover = MeagerCover(Point.zero(2), P, 0)
-        assert density_audit_table(
-            FakeBundle(None, ((0, cover),), ())
-        ) == ()
+        assert density_audit_table(FakeBundle(((0, cover),))) == ()
 
     def test_mass_rows(self):
         P = Partition.from_lengths([2, 2])
@@ -538,7 +548,6 @@ class TestAuditTable:
         )
         rows = density_audit_table(
             FakeBundle(
-                "mass",
                 ((0, small), (1, small)),
                 ((0, Fraction(2)), (1, Fraction(1, 4))),
             )
@@ -551,7 +560,5 @@ class TestAuditTable:
     def test_density_rows(self):
         P = Partition.from_lengths([2])
         e = ECover(P, (PatternSet.from_bits(P[0], ["00", "01"]),), 0)
-        rows = density_audit_table(
-            FakeBundle("max_density", ((1, e),), ((1, Fraction(1, 2)),))
-        )
+        rows = density_audit_table(FakeBundle(((1, e),)))
         assert rows[0].passed and rows[0].value == Fraction(1, 2)

@@ -248,6 +248,25 @@ class TestLoading:
         pytest.param(lambda d: d["requests"][0].update(
             tamper={"bundle": "meager", "fold": 1, "block": 2.7},
         ), "request 0: bad tamper block 2.7", id="tamper-block-fraction"),
+        pytest.param(lambda d: d.update(name=None),
+                     "bad name None: expected a string", id="name-null"),
+        pytest.param(lambda d: d["requests"][0].update(
+            tamper={"bundle": 1, "fold": 1, "block": 2},
+        ), "request 0: bad tamper bundle 1: expected a string",
+            id="tamper-bundle-int"),
+        pytest.param(lambda d: d["requests"][0].update(tamper=[1]),
+                     "request 0: bad tamper spec [1]: expected an object",
+                     id="tamper-not-object"),
+        pytest.param(lambda d: (
+            d["partitions"].update(unit={"lengths": [1] * 12}),
+            d["covers"].update(S={"kind": "small", "partition": "unit",
+                                  "patterns": ["01"] + [["1"]] * 11}),
+        ), "cover 'S': block 0 patterns must be a list of 0/1 strings, "
+           "got '01'", id="patterns-string"),
+        pytest.param(lambda d: d["covers"].update(C={
+            "kind": "chain", "stages": [{"nodes": "0", "measure": "1/2"}],
+        }), "cover 'C' stage 0: nodes must be a list of 0/1 strings, got '0'",
+            id="chain-nodes-string"),
     ])
     def test_malformed_field_is_an_input_error(self, tmp_path, capsys,
                                                mutate, message):
@@ -430,6 +449,8 @@ class TestTamper:
         assert w["tampered"]
         assert not w["certificate"]["passed"]
         assert [1, 2] in w["certificate"]["failed_blocks"]
+        # the untouched covers would pass the oracle, so it skips the bundle
+        assert "exhaustive" not in w
 
     def test_every_golden_witness_is_tamperable(self):
         # drop one pattern from one consulted block of each certificate
@@ -485,7 +506,7 @@ class TestOps:
         assert "simplify_e_cover" in ops
 
     def test_op_table_matches_construction_signatures(self):
-        for op, (args, _) in scenario_mod._OPS.items():
+        for op, args in scenario_mod._OPS.items():
             fn = getattr(constructions_mod, op)
             params = list(inspect.signature(fn, eval_str=True).parameters.values())
             positional = [p for p in params if p.default is inspect.Parameter.empty]
@@ -500,14 +521,23 @@ class TestOps:
                     got = typing.get_args(param.annotation) or (param.annotation,)
                     assert set(got) == set(want), (op, param.name)
 
-    def test_point_check_labels_are_emitted_bundle_labels(self):
-        emitted: dict[str, set[str]] = {}
+    def test_point_source_is_the_op_input_cover(self):
+        kinds = set()
         for name in GOLDEN_NAMES:
-            report = run(load_bundled(name), RunFlags(exhaustive=False,
-                                                      deterministic=True))
-            for entry in report.data["requests"]:
-                emitted.setdefault(entry["op"], set()).update(
-                    w["label"] for w in entry.get("witnesses", ()))
-        for op, (_, points) in scenario_mod._OPS.items():
-            assert op in emitted, op
-            assert set(points) <= emitted[op], op
+            for req in load_bundled(name).requests:
+                names = [a if isinstance(a, str) else a[0]
+                         for a in scenario_mod._OPS[req.op]]
+                result = getattr(constructions_mod, req.op)(*(
+                    RunFlags.folds if n == "folds" else req.args[n]
+                    for n in names
+                ))
+                if isinstance(result, ECover):
+                    continue
+                source = req.args["meager" if req.op == "shrink_mn" else "cover"]
+                for bundle in result.witnesses:
+                    kinds.add(bundle.kind)
+                    if bundle.kind == "small":
+                        assert bundle.point_source is None, (name, req.op)
+                    else:
+                        assert bundle.point_source is source, (name, req.op)
+        assert kinds == {"meager", "small", "e"}
