@@ -281,21 +281,14 @@ def _tuples_over(letters: list[str], max_len: int) -> list[tuple[str, ...]]:
 
 
 def _all_split_level(T: PrefixTree, lo: int) -> int:
+    """Least depth >= lo where every node splits: the level below doubles."""
     for d in range(lo, T.horizon):
-        if T.levels[d] and T.splits_at(d) == T.levels[d]:
+        if len(T.levels[d + 1]) == 2 * len(T.levels[d]):
             return d
     raise ValueError(
         f"no level at or past {lo} where every node splits; "
         "uniform mode needs a uniformly perfect tree"
     )
-
-
-def _leftmost_at(T: PrefixTree, stem: str, depth: int) -> str:
-    node = stem
-    while len(node) < depth:
-        v = int(node, 2) if node else 0
-        node += format(min(T.children(len(node), v)) & 1, "b")
-    return node
 
 
 def shrink_perfect_meager(
@@ -320,7 +313,7 @@ def shrink_perfect_meager(
     sigma: dict[str, str] = {}
     if uniform:
         level = _all_split_level(T, supers[0].hi)
-        sigma[""] = _leftmost_at(T, "", level)
+        sigma[""] = leftmost_leaf(T, "")[:level]
     else:
         sigma[""] = first_splitting_node(T, "", supers[0].hi)
     for g in range(1, G + 1):
@@ -334,7 +327,7 @@ def shrink_perfect_meager(
             for i in "01":
                 stem = sigma[tau] + i
                 if uniform:
-                    sigma[tau + i] = _leftmost_at(T, stem, level)
+                    sigma[tau + i] = leftmost_leaf(T, stem)[:level]
                 else:
                     sigma[tau + i] = first_splitting_node(T, stem, supers[g].hi)
 
@@ -526,33 +519,26 @@ def _prune_split_budget(
 ) -> PrefixTree:
     cur = {0: 0}
     for d in range(T.horizon):
-        splits = T.splits_at(d)
+        kids = {v: T.children(d, v) for v in cur}
+        split = {v: len(kids[v]) == 2 and used < allowance[d] for v, used in cur.items()}
         if uniform:
-            split_all = bool(cur) and all(
-                v in splits and used < allowance[d] for v, used in cur.items()
-            )
-        nxt: dict[int, int] = {}
-        for v, used in cur.items():
-            children = T.children(d, v)
-            here = (
-                split_all
-                if uniform
-                else len(children) == 2 and used < allowance[d]
-            )
-            if here:
-                for c in children:
-                    nxt[c] = used + 1
-            else:
-                nxt[min(children)] = used
-        cur = nxt
+            split = dict.fromkeys(split, all(split.values()))
+        cur = {
+            c: used + split[v]
+            for v, used in cur.items()
+            for c in (kids[v] if split[v] else kids[v][:1])
+        }
     return PrefixTree(T.horizon, frozenset(cur))
 
 
 def _perfect_warning(pruned: PrefixTree) -> list[str]:
     if is_perfect(pruned):
         return []
+    # a level with a split is one the level below outgrows
+    levels = pruned.levels
     deepest = max(
-        (d for d in range(pruned.horizon) if pruned.splits_at(d)), default=-1
+        (d for d in range(pruned.horizon) if len(levels[d + 1]) != len(levels[d])),
+        default=-1,
     )
     return [
         f"split budget exhausts after depth {deepest}; "

@@ -268,24 +268,36 @@ def _load_cover(name: str, spec, scn, horizon: int):
                 _int(spec.get("threshold", 0), "threshold", where),
             )
         if kind == "chain":
+            raw_stages = spec.get("stages", [])
+            if not isinstance(raw_stages, list):
+                raise ScenarioError(
+                    f"{where}: stages must be a list of stage objects, got "
+                    f"{raw_stages!r}"
+                )
             stages = []
-            for i, st in enumerate(spec.get("stages", ())):
-                raw_nodes = st["nodes"]
-                if not isinstance(raw_nodes, list):
+            for i, st in enumerate(raw_stages):
+                at = f"{where} stage {i}"
+                if not isinstance(st, dict):
                     raise ScenarioError(
-                        f"{where} stage {i}: nodes must be a list of 0/1 "
-                        f"strings, got {raw_nodes!r}"
+                        f"{at}: expected an object with 'nodes' and 'measure', "
+                        f"got {st!r}"
                     )
-                nodes = tuple(_bit_string(s, f"{where} stage {i}") for s in raw_nodes)
+                for field in ("nodes", "measure"):
+                    if field not in st:
+                        raise ScenarioError(f"{at}: missing {field!r}")
+                if not isinstance(st["nodes"], list):
+                    raise ScenarioError(
+                        f"{at}: nodes must be a list of 0/1 strings, got "
+                        f"{st['nodes']!r}"
+                    )
+                nodes = tuple(_bit_string(s, at) for s in st["nodes"])
                 for s in nodes:
                     if len(s) > horizon:
                         raise ScenarioError(
-                            f"{where} stage {i}: horizon mismatch, node {s!r} "
-                            f"is longer than {horizon}"
+                            f"{at}: horizon mismatch, node {s!r} is longer than "
+                            f"{horizon}"
                         )
-                stages.append(
-                    Stage(nodes, _fraction(st["measure"], f"{where} stage {i}"))
-                )
+                stages.append(Stage(nodes, _fraction(st["measure"], at)))
             return ClosedNullChain(tuple(stages))
     except ScenarioError:
         raise

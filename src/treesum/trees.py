@@ -129,15 +129,6 @@ class PrefixTree:
         nxt = self.levels[depth + 1]
         return tuple(c for c in ((value << 1) | 0, (value << 1) | 1) if c in nxt)
 
-    def splits_at(self, depth: int) -> frozenset[int]:
-        """Values of length-depth nodes with both children present."""
-        if depth >= self.horizon:
-            return frozenset()
-        nxt = self.levels[depth + 1]
-        return frozenset(
-            v for v in self.levels[depth] if (v << 1) in nxt and ((v << 1) | 1) in nxt
-        )
-
     def __len__(self) -> int:
         return len(self.leaves)
 
@@ -152,8 +143,8 @@ def tree_restrict(T: PrefixTree, b: Block) -> PatternSet:
     """Restrictions of all leaves to a block."""
     if b.hi > T.horizon:
         raise ValueError(f"block {b} beyond horizon {T.horizon}")
-    shift = T.horizon - b.hi
-    return PatternSet(b, frozenset((v >> shift) & b.mask for v in T.leaves))
+    shift, mask = T.horizon - b.hi, b.mask
+    return PatternSet(b, frozenset((v >> shift) & mask for v in T.leaves))
 
 
 def is_subtree(S: PrefixTree, T: PrefixTree) -> bool:
@@ -250,25 +241,43 @@ def classify(T: PrefixTree, split_allowance: int | None = None) -> KindFlags:
 
 def first_splitting_node(T: PrefixTree, stem: str, min_length: int) -> str:
     """Shortest, then lexicographically least, splitting node extending the
-    stem with length >= min_length.  Raises when no such node exists."""
+    stem with length >= min_length.  Raises when no such node exists.
+
+    The stem's nodes at depth max(len(stem), min_length) are walked in
+    increasing order, each down its single-child chain to its first split;
+    a later node's chain is larger, so it only counts if it splits sooner."""
     if not T.contains_node(stem):
         raise ValueError(f"stem {stem!r} not in tree")
-    base_d, base_v = len(stem), int(stem, 2) if stem else 0
-    for d in range(max(base_d, min_length), T.horizon):
-        shift = d - base_d
-        hits = sorted(v for v in T.splits_at(d) if v >> shift == base_v)
-        if hits:
-            return format(hits[0], f"0{d}b") if d else ""
-    raise ValueError(
-        f"no splitting node of length >= {min_length} above {stem!r} "
-        f"within horizon {T.horizon}"
-    )
+    levels, H = T.levels, T.horizon
+    start = max(len(stem), min_length)
+    frontier = [int(stem, 2) if stem else 0] if start < H else []
+    for nxt in levels[len(stem) + 1:start + 1]:
+        frontier = [c for v in frontier for c in (v << 1, (v << 1) | 1) if c in nxt]
+    best = (H, 0)
+    for v in frontier:
+        d = start
+        while d < best[0]:
+            right = ((v << 1) | 1) in levels[d + 1]
+            if right and (v << 1) in levels[d + 1]:
+                best = (d, v)
+                break
+            v, d = (v << 1) | right, d + 1
+        if best[0] == start:
+            break
+    d, v = best
+    if d == H:
+        raise ValueError(
+            f"no splitting node of length >= {min_length} above {stem!r} "
+            f"within horizon {H}"
+        )
+    return format(v, f"0{d}b") if d else ""
 
 
 def leftmost_leaf(T: PrefixTree, stem: str) -> str:
-    """Least leaf extending the stem."""
+    """Least leaf extending the stem: child 0 wherever it is present."""
     if not T.contains_node(stem):
         raise ValueError(f"stem {stem!r} not in tree")
-    shift = T.horizon - len(stem)
-    base = int(stem, 2) if stem else 0
-    return format(min(v for v in T.leaves if v >> shift == base), f"0{T.horizon}b")
+    v = int(stem, 2) if stem else 0
+    for d in range(len(stem) + 1, T.horizon + 1):
+        v = (v << 1) | ((v << 1) not in T.levels[d])
+    return format(v, f"0{T.horizon}b")

@@ -267,6 +267,24 @@ class TestLoading:
             "kind": "chain", "stages": [{"nodes": "0", "measure": "1/2"}],
         }), "cover 'C' stage 0: nodes must be a list of 0/1 strings, got '0'",
             id="chain-nodes-string"),
+        pytest.param(lambda d: d["covers"].update(C={
+            "kind": "chain", "stages": "x",
+        }), "cover 'C': stages must be a list of stage objects, got 'x'",
+            id="chain-stages-string"),
+        pytest.param(lambda d: d["covers"].update(C={
+            "kind": "chain", "stages": ["x"],
+        }), "cover 'C' stage 0: expected an object with 'nodes' and "
+           "'measure', got 'x'", id="chain-stage-string"),
+        pytest.param(lambda d: d["covers"].update(C={
+            "kind": "chain", "stages": [1],
+        }), "cover 'C' stage 0: expected an object with 'nodes' and "
+           "'measure', got 1", id="chain-stage-int"),
+        pytest.param(lambda d: d["covers"].update(C={
+            "kind": "chain", "stages": [{"nodes": ["0"]}],
+        }), "cover 'C' stage 0: missing 'measure'", id="chain-stage-no-measure"),
+        pytest.param(lambda d: d["covers"].update(C={
+            "kind": "chain", "stages": [{"measure": "1/4"}],
+        }), "cover 'C' stage 0: missing 'nodes'", id="chain-stage-no-nodes"),
     ])
     def test_malformed_field_is_an_input_error(self, tmp_path, capsys,
                                                mutate, message):

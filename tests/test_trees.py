@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesum.bits import Block, Point
+from treesum.bits import Block, Partition, PatternSet, Point
+from treesum.constructions import (
+    _all_split_level,
+    _perfect_warning,
+    _prune_split_budget,
+    shrink_perfect_e,
+    shrink_perfect_meager,
+    shrink_perfect_small,
+)
+from treesum.covers import ECover, MeagerCover, SmallCover
 from treesum.trees import (
     KindFlags,
     PrefixTree,
@@ -42,10 +51,10 @@ def splitting_thresholds(T: PrefixTree) -> dict[str, int]:
 
 def split_count_on_stem(T: PrefixTree, stem: str) -> int:
     """Splitting nodes among the initial segments of a stem, the stem
-    itself included, by `splits_at`."""
+    itself included, by `children` (leaves have none)."""
     assert T.contains_node(stem)
     return sum(
-        (int(stem[:d], 2) if d else 0) in T.splits_at(d)
+        d < T.horizon and len(T.children(d, int(stem[:d], 2) if d else 0)) == 2
         for d in range(len(stem) + 1)
     )
 
@@ -426,3 +435,215 @@ class TestStemHelpers:
         T = PrefixTree.from_leaves(["0110", "0101", "1000"])
         assert leftmost_leaf(T, "") == "0101"
         assert leftmost_leaf(T, "011") == "0110"
+
+
+# Per-level split sets and leaf scans: the walks in `trees` and
+# `constructions` replaced these and must agree with them.
+
+def ref_splits_at(T: PrefixTree, depth: int) -> frozenset[int]:
+    if depth >= T.horizon:
+        return frozenset()
+    nxt = T.levels[depth + 1]
+    return frozenset(
+        v for v in T.levels[depth] if (v << 1) in nxt and ((v << 1) | 1) in nxt
+    )
+
+
+def ref_first_splitting_node(T: PrefixTree, stem: str, min_length: int) -> str:
+    if not T.contains_node(stem):
+        raise ValueError(f"stem {stem!r} not in tree")
+    base_d, base_v = len(stem), int(stem, 2) if stem else 0
+    for d in range(max(base_d, min_length), T.horizon):
+        shift = d - base_d
+        hits = sorted(v for v in ref_splits_at(T, d) if v >> shift == base_v)
+        if hits:
+            return format(hits[0], f"0{d}b") if d else ""
+    raise ValueError(
+        f"no splitting node of length >= {min_length} above {stem!r} "
+        f"within horizon {T.horizon}"
+    )
+
+
+def ref_leftmost_leaf(T: PrefixTree, stem: str) -> str:
+    if not T.contains_node(stem):
+        raise ValueError(f"stem {stem!r} not in tree")
+    shift = T.horizon - len(stem)
+    base = int(stem, 2) if stem else 0
+    return format(min(v for v in T.leaves if v >> shift == base), f"0{T.horizon}b")
+
+
+def ref_all_split_level(T: PrefixTree, lo: int) -> int:
+    for d in range(lo, T.horizon):
+        if T.levels[d] and ref_splits_at(T, d) == T.levels[d]:
+            return d
+    raise ValueError(
+        f"no level at or past {lo} where every node splits; "
+        "uniform mode needs a uniformly perfect tree"
+    )
+
+
+def ref_prune_split_budget(
+    T: PrefixTree, allowance: list[int], uniform: bool
+) -> PrefixTree:
+    cur = {0: 0}
+    for d in range(T.horizon):
+        splits = ref_splits_at(T, d)
+        if uniform:
+            split_all = bool(cur) and all(
+                v in splits and used < allowance[d] for v, used in cur.items()
+            )
+        nxt: dict[int, int] = {}
+        for v, used in cur.items():
+            children = T.children(d, v)
+            here = (
+                split_all
+                if uniform
+                else len(children) == 2 and used < allowance[d]
+            )
+            if here:
+                for c in children:
+                    nxt[c] = used + 1
+            else:
+                nxt[min(children)] = used
+        cur = nxt
+    return PrefixTree(T.horizon, frozenset(cur))
+
+
+def ref_deepest_split(T: PrefixTree) -> int:
+    return max((d for d in range(T.horizon) if ref_splits_at(T, d)), default=-1)
+
+
+def outcome(fn, *args):
+    """A call's result, or the message of the ValueError it raises."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as err:
+        return "error", str(err)
+
+
+@st.composite
+def density_trees(draw):
+    """Leaf sets at horizons 1-10, each leaf kept with one drawn probability,
+    from a few leaves to nearly all of them."""
+    horizon = draw(st.integers(1, 10))
+    keep = draw(st.sampled_from([0.02, 0.1, 0.5, 0.9, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    leaves = {v for v in range(1 << horizon) if rng.random() < keep}
+    leaves.add(draw(st.integers(0, (1 << horizon) - 1)))
+    return PrefixTree(horizon, frozenset(leaves))
+
+
+walk_trees = st.one_of(density_trees(), any_tree)
+
+
+@st.composite
+def tree_and_stem(draw):
+    """A tree and a node string of any length up to one past the horizon:
+    mostly a prefix of a leaf, sometimes an arbitrary string."""
+    T = draw(walk_trees)
+    depth = draw(st.integers(0, T.horizon))
+    if draw(st.integers(0, 4)):
+        leaf = format(draw(st.sampled_from(sorted(T.leaves))), f"0{T.horizon}b")
+        stem = leaf[:depth]
+    else:
+        stem = draw(st.text("01", max_size=T.horizon + 1))
+    return T, stem
+
+
+class TestWalksMatchSplitSets:
+    @settings(max_examples=300, deadline=None)
+    @given(tree_and_stem(), st.data())
+    def test_first_splitting_node(self, case, data):
+        T, stem = case
+        far = T.horizon + data.draw(st.integers(2, 40))
+        for min_length in [*range(-1, T.horizon + 2), far]:
+            assert outcome(first_splitting_node, T, stem, min_length) == outcome(
+                ref_first_splitting_node, T, stem, min_length
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree_and_stem())
+    def test_leftmost_leaf(self, case):
+        T, stem = case
+        assert outcome(leftmost_leaf, T, stem) == outcome(ref_leftmost_leaf, T, stem)
+
+    @settings(max_examples=200, deadline=None)
+    @given(walk_trees)
+    def test_all_split_level_and_deepest_split(self, T):
+        for lo in range(T.horizon + 2):
+            assert outcome(_all_split_level, T, lo) == outcome(
+                ref_all_split_level, T, lo
+            )
+        deepest = ref_deepest_split(T)
+        expected = [] if is_perfect(T) else [
+            f"split budget exhausts after depth {deepest}; "
+            "pruned tree is not perfect at this horizon"
+        ]
+        assert _perfect_warning(T) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_trees, st.booleans(), st.data())
+    def test_prune_split_budget(self, T, uniform, data):
+        allowance = data.draw(
+            st.lists(st.integers(0, T.horizon), min_size=T.horizon,
+                     max_size=T.horizon)
+        )
+        if data.draw(st.booleans()):
+            allowance.sort()  # the constructions' budgets never shrink
+        assert _prune_split_budget(T, allowance, uniform) == ref_prune_split_budget(
+            T, allowance, uniform
+        )
+
+
+class GuardedLeaves(frozenset):
+    """A leaf set that refuses iteration once armed."""
+
+    armed = False
+
+    def __iter__(self):
+        if self.armed:
+            raise AssertionError("iterated every leaf")
+        return super().__iter__()
+
+
+class TestWalksReadLevelsOnly:
+    def guarded(self, leaves, horizon):
+        leaves = GuardedLeaves(leaves)
+        T = PrefixTree(horizon, leaves)
+        T.levels  # the one pass over the leaves, done before arming
+        leaves.armed = True
+        return T
+
+    def test_walks_never_iterate_the_leaves(self):
+        T = self.guarded(range(1 << 12), 12)
+        assert first_splitting_node(T, "", 3) == "000"
+        assert first_splitting_node(T, "0110", 0) == "0110"
+        assert leftmost_leaf(T, "1") == "100000000000"
+        assert _all_split_level(T, 5) == 5
+        assert is_perfect(T) and _perfect_warning(T) == []
+        for uniform in (False, True):
+            pruned = _prune_split_budget(T, [2] * 12, uniform)
+            assert len(pruned) == 4
+
+    def test_perfect_constructions_never_iterate_the_input_leaves(self):
+        # a perfect, not uniformly perfect tree: node "1" has one child
+        H = 12
+        leaves = set(range(1 << (H - 1)))
+        leaves |= {(1 << (H - 1)) | v for v in range(1 << (H - 2))}
+        T = self.guarded(leaves, H)
+        P = Partition.from_lengths([2] * 6)
+        meager = MeagerCover(Point.from_bits("110100101101"), P, 0)
+        small = SmallCover(P, tuple(
+            PatternSet.from_bits(blk, ["01"]) for blk in P.blocks
+        ))
+        e = ECover(P, tuple(
+            PatternSet.from_bits(blk, ["00", "11"]) for blk in P.blocks
+        ), 0)
+        assert shrink_perfect_meager(meager, T).tree_out.leaves <= leaves
+        assert shrink_perfect_small(small, T).tree_out.leaves <= leaves
+        assert shrink_perfect_e(e, T).tree_out.leaves <= leaves
+        full = self.guarded(range(1 << H), H)
+        for shrink, cover in ((shrink_perfect_meager, meager),
+                              (shrink_perfect_small, small),
+                              (shrink_perfect_e, e)):
+            assert shrink(cover, full, uniform=True).tree_out.leaves <= full.leaves
