@@ -65,13 +65,11 @@ _KINDS = {MeagerCover: "meager", SmallCover: "small", ECover: "e"}
 
 @dataclass(frozen=True)
 class WitnessBundle:
-    """Per-fold witness covers for one claim and the certificate request
-    that replays them.  `point_source` is the input cover the exhaustive
-    oracle starts from (None for small covers, which have no point test);
-    `mass_bounds` are the per-fold bounds a small cover's mass is audited
-    against."""
+    """The certificate request of one claim, which holds its per-fold
+    witness covers; `point_source`, the input cover the exhaustive oracle
+    starts from (None for small covers, which have no point test); and
+    `mass_bounds`, the per-fold bounds a small cover's mass is audited against."""
 
-    per_fold: tuple[tuple[int, Cover], ...]
     request: CertificateRequest
     point_source: MeagerCover | ECover | None
     mass_bounds: tuple[tuple[int, Fraction], ...]
@@ -79,6 +77,10 @@ class WitnessBundle:
     @property
     def label(self) -> str:
         return self.request.label
+
+    @property
+    def per_fold(self) -> tuple[tuple[int, Cover], ...]:
+        return self.request.per_fold
 
     @property
     def kind(self) -> str:
@@ -147,15 +149,14 @@ def _super_sizes() -> Iterable[int]:
 
 def _bundle(
     label: str,
-    partition: Partition,
     source: Cover,
     tree: PrefixTree,
     per_fold: Iterable[tuple[int, Cover]],
     ranges: Sequence[tuple[int, int]] = (),
     bounds: Iterable[tuple[int, Fraction]] = (),
 ) -> WitnessBundle:
-    """The witness bundle of per-fold covers of one type and the certificate
-    request that replays it against `tree`.
+    """The witness bundle of per-fold covers of one type, replayed against
+    `tree` on the covers' partition.
 
     A small source cover's patterns are the request's source as they stand,
     and its witnesses are audited against the per-fold mass `bounds`.  A
@@ -180,18 +181,9 @@ def _bundle(
             block_product([fine(j) for j in range(lo, hi)]) for lo, hi in ranges
         )
         point_source = source
-    rows = tuple(
-        (
-            b,
-            getattr(c, "threshold", 0),
-            tuple(c.allowed(k) for k in range(len(partition)))
-            if isinstance(c, MeagerCover)
-            else c.patterns,
-        )
-        for b, c in per_fold
-    )
-    request = CertificateRequest(label, partition, patterns, tree, rows)
-    return WitnessBundle(per_fold, request, point_source, tuple(bounds))
+    partition = per_fold[0][1].partition
+    request = CertificateRequest(label, partition, patterns, tree, per_fold)
+    return WitnessBundle(request, point_source, tuple(bounds))
 
 
 def _least_free(free: frozenset[int], blocks: Iterable[Block]) -> list[int]:
@@ -258,9 +250,7 @@ def shrink_silver_meager(
             x = x ^ T.x.truncate(Hw)
         per_fold.append((b, MeagerCover(x, coarse, threshold)))
 
-    bundle = _bundle(
-        "meager", coarse, F, silver_to_prefix(tree_out), per_fold, ranges
-    )
+    bundle = _bundle("meager", F, silver_to_prefix(tree_out), per_fold, ranges)
     prov = Provenance(
         "shrink_silver_meager",
         (
@@ -360,7 +350,7 @@ def shrink_perfect_meager(
         (b, MeagerCover(x_H, supers, min(max(b, base), len(supers))))
         for b in folds
     )
-    bundle = _bundle("meager", supers, F, tree_out, per_fold, ranges)
+    bundle = _bundle("meager", F, tree_out, per_fold, ranges)
     prov = Provenance(
         "shrink_perfect_meager",
         (
@@ -407,7 +397,7 @@ def build_splitting_meager(
         thr = base if b == 0 else max(base, b + 1)
         per_fold.append((b, MeagerCover(x_w, supers, min(thr, len(supers)))))
 
-    bundle = _bundle("meager", supers, F, tree_out, per_fold, ranges)
+    bundle = _bundle("meager", F, tree_out, per_fold, ranges)
     prov = Provenance(
         "build_splitting_meager",
         (
@@ -446,7 +436,7 @@ def shrink_silver_small(
     ))
     bound = 4 * F.mass
     bundle = _bundle(
-        "small", P, F, silver_to_prefix(tree_out),
+        "small", F, silver_to_prefix(tree_out),
         ((b, witness) for b in folds), bounds=((b, bound) for b in folds),
     )
     prov = Provenance(
@@ -581,7 +571,7 @@ def shrink_perfect_small(
 
     mass = F.mass
     bundle = _bundle(
-        "small", P, F, tree_out, per_fold,
+        "small", F, tree_out, per_fold,
         bounds=((b, (1 << (b * b)) * mass) for b in folds),
     )
     prov = Provenance(
@@ -682,7 +672,7 @@ def build_splitting_null(
         witness = SmallCover(P, tuple(pats))
         bound = 8 * small.mass
         bundles.append(_bundle(
-            label, P, small, tree_out,
+            label, small, tree_out,
             ((b, witness) for b in folds), bounds=((b, bound) for b in folds),
         ))
     prov = Provenance(
@@ -797,7 +787,7 @@ def shrink_silver_e(
         for blk, (lo, hi) in zip(triples, ranges)
     ), threshold)
     bundle = _bundle(
-        "e", triples, E, silver_to_prefix(tree_out),
+        "e", E, silver_to_prefix(tree_out),
         ((b, witness) for b in folds), ranges,
     )
     prov = Provenance(
@@ -849,7 +839,7 @@ def shrink_perfect_e(
         (b, ECover(supers, witness_patterns, min(max(b, base), len(supers))))
         for b in folds
     )
-    bundle = _bundle("e", supers, E, tree_out, per_fold, ranges)
+    bundle = _bundle("e", E, tree_out, per_fold, ranges)
     prov = Provenance(
         "shrink_perfect_e",
         (
@@ -899,9 +889,7 @@ def build_splitting_e(
         )
         for blk, a, (lo, hi) in zip(triples, A, ranges)
     ), threshold)
-    bundle = _bundle(
-        "e", triples, E, tree_out, ((b, witness) for b in folds), ranges
-    )
+    bundle = _bundle("e", E, tree_out, ((b, witness) for b in folds), ranges)
     prov = Provenance(
         "build_splitting_e",
         (

@@ -200,20 +200,21 @@ class Certificate:
 @dataclass(frozen=True)
 class CertificateRequest:
     """Everything needed to (re)run the blockwise checks of one witness:
-    per-block source patterns, the tree whose fold-sums shift them, and one
-    row per fold of (fold, first block checked, per-block target patterns).
+    per-block source patterns, the tree whose fold-sums shift them, and the
+    witness cover of each fold, whose blocks are the targets.
     """
 
     label: str
     partition: Partition
     source: tuple[PatternSet, ...]
     tree: PrefixTree
-    rows: tuple[tuple[int, int, tuple[PatternSet, ...]], ...]
+    per_fold: tuple[tuple[int, MeagerCover | SmallCover | ECover], ...]
 
     def __post_init__(self):
         _check_blockwise(self.partition, self.source)
-        for _, _, targets in self.rows:
-            _check_blockwise(self.partition, targets)
+        for fold, cover in self.per_fold:
+            if cover.partition != self.partition:
+                raise ValueError(f"fold {fold} cover is off the request partition")
         if self.partition.horizon > self.tree.horizon:
             raise ValueError("witness partition reaches past the tree horizon")
 

@@ -79,18 +79,23 @@ def nfold_body_sum(
 def certify_request(
     req: CertificateRequest, budget: int = DEFAULT_BUDGET
 ) -> Certificate:
-    """Run a stored request: for each fold row, check source + b-fold tree
-    patterns against that fold's targets, block by block from its
-    threshold on."""
+    """Run a stored request: for each fold, check source + b-fold tree
+    patterns against that fold's witness cover, block by block from its
+    threshold on.  The shifted set must miss a meager block's one
+    forbidden word, and lie inside an E or small block's patterns."""
     checks = []
-    for b, thr, targets in req.rows:
-        for n in range(thr, len(req.partition)):
+    for b, cover in req.per_fold:
+        for n in range(getattr(cover, "threshold", 0), len(req.partition)):
             tree_patterns = pattern_nfold(
                 tree_restrict(req.tree, req.partition[n]), b, budget
             )
-            shifted = pattern_sum(req.source[n], tree_patterns)
-            checks.append(BlockCheck(b, n, shifted.is_subset(targets[n])))
-    thresholds = tuple((b, thr) for b, thr, _ in req.rows)
+            shifted = pattern_sum(req.source[n], tree_patterns).values
+            if isinstance(cover, MeagerCover):
+                ok = cover.forbidden(n).values.isdisjoint(shifted)
+            else:
+                ok = shifted <= cover.patterns[n].values
+            checks.append(BlockCheck(b, n, ok))
+    thresholds = tuple((b, getattr(c, "threshold", 0)) for b, c in req.per_fold)
     return Certificate(req.label, req.partition, thresholds, tuple(checks))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .bits import Block, Partition, PatternSet, Point, pattern_sum
+from .bits import Block, Partition, PatternSet, Point, pattern_sum, restrict
 from .covers import (
     Certificate,
     ClosedNullChain,
@@ -389,6 +389,9 @@ def _load_request(i: int, spec, trees: dict, covers: dict) -> Request:
                     f"{where}: {key} {spec.get(key)!r} is not a {wanted}"
                 )
             args[key] = obj
+    for field in ("folds", "tamper"):
+        if field in spec and "folds" not in _OPS[op]:
+            raise ScenarioError(f"{where}: {op} takes no folds, so no {field!r}")
     folds = _load_folds(spec["folds"], where) if "folds" in spec else None
     tamper = None
     if "tamper" in spec:
@@ -482,32 +485,35 @@ def list_ops() -> tuple[str, ...]:
 
 
 def _apply_tamper(request_obj, tamper: Tamper):
-    """Remove one pattern that the fold image provably hits, so the
-    resulting certificate must fail."""
-    if tamper.block >= len(request_obj.partition):
-        raise ScenarioError(f"tamper block {tamper.block} out of range")
-    row = next((r for r in request_obj.rows if r[0] == tamper.fold), None)
-    if row is None:
-        raise ScenarioError(f"tamper fold {tamper.fold} not requested")
-    fold, threshold, targets = row
-    if tamper.block < threshold:
+    """Swap the fold's witness cover for one that misses the least word of
+    the fold image on the block, so the certificate must fail there: an E
+    or small block drops the word, a meager block is recentred on it."""
+    fold, n = tamper.fold, tamper.block
+    if n >= len(request_obj.partition):
+        raise ScenarioError(f"tamper block {n} out of range")
+    per_fold = dict(request_obj.per_fold)
+    cover = per_fold.get(fold)
+    if cover is None:
+        raise ScenarioError(f"tamper fold {fold} not requested")
+    if n < getattr(cover, "threshold", 0):
         raise ScenarioError(
-            f"tamper block {tamper.block} is below the fold {tamper.fold} "
+            f"tamper block {n} is below the fold {fold} "
             "threshold; the certificate would not consult it"
         )
-    blk = request_obj.partition[tamper.block]
+    blk = request_obj.partition[n]
     tree_patterns = pattern_nfold(tree_restrict(request_obj.tree, blk), fold)
-    image = pattern_sum(request_obj.source[tamper.block], tree_patterns)
+    image = pattern_sum(request_obj.source[n], tree_patterns)
     if not image.values:
         raise ScenarioError("tamper target block has an empty fold image")
-    old = targets[tamper.block]
-    mutated = list(targets)
-    mutated[tamper.block] = PatternSet(old.block, old.values - {min(image.values)})
-    rows = tuple(
-        (fold, threshold, tuple(mutated)) if r is row else r
-        for r in request_obj.rows
-    )
-    return replace(request_obj, rows=rows)
+    hit = min(image.values)
+    if isinstance(cover, MeagerCover):
+        moved = (restrict(cover.xF, blk).value ^ hit) << (cover.horizon - blk.hi)
+        per_fold[fold] = replace(cover, xF=cover.xF ^ Point(cover.horizon, moved))
+    else:
+        patterns = list(cover.patterns)
+        patterns[n] = PatternSet(blk, patterns[n].values - {hit})
+        per_fold[fold] = replace(cover, patterns=tuple(patterns))
+    return replace(request_obj, per_fold=tuple(per_fold.items()))
 
 
 def _frac(x: Fraction) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -109,6 +110,52 @@ class TestRunVerb:
             main(["run", golden("silver-meager"), flag, value])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_generation_two_meager_certifies_past_the_cap(self, tmp_path):
+        # unit fine blocks at horizon 80 reach super-block 2, 64 bits wide;
+        # certifying it must not build the 2^64 - 1 words a meager block
+        # admits.  The child runs under a 2 GB address-space limit, so a
+        # regression fails here instead of exhausting the host's memory.
+        resource = pytest.importorskip("resource")
+        horizon, splits = 80, (0, 20, 40, 60, 79)
+        leaves = [
+            "".join("1" if c in chosen else "0" for c in range(horizon))
+            for k in range(len(splits) + 1)
+            for chosen in itertools.combinations(splits, k)
+        ]
+        doc = {
+            "name": "perfect-meager-80",
+            "horizon": horizon,
+            "partitions": {"unit": {"lengths": [1] * horizon}},
+            "points": {"xF": "01" * (horizon // 2)},
+            "trees": {"T": {"kind": "prefix", "leaves": leaves}},
+            "covers": {"F": {"kind": "meager", "x": "xF",
+                             "partition": "unit", "threshold": 0}},
+            "requests": [{"op": "shrink_perfect_meager", "cover": "F",
+                          "tree": "T"}],
+        }
+        path = tmp_path / "perfect-meager-80.json"
+        path.write_text(json.dumps(doc))
+        limit = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "treesum", "run", "--deterministic",
+             str(path)],
+            env=dict(os.environ, PYTHONPATH=str(SCENARIOS.parents[1])),
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)
+            ),
+        )
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        report = json.loads(proc.stdout)
+        entry = report["requests"][0]
+        assert report["passed"]
+        assert len(leaves) == 32 and entry["tree"]["leaf_count"] == 8
+        assert entry["provenance"]["details"]["generations"] == "3"
+        w = entry["witnesses"][0]
+        assert w["certificate"]["passed"]
+        assert w["certificate"]["checks"] == 6
+        assert "exhaustive" not in w
 
     def test_no_exhaustive_flag(self, capsys):
         code = main(["run", golden("silver-meager"), "--no-exhaustive",

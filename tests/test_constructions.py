@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -638,13 +639,13 @@ class TestSplittingE:
         res = build_splitting_e(E)
         req = res.witnesses[0].request
         clipped = []
-        for b, thr, target in req.rows:
-            # drop one pattern from the first block of each fold's target
-            first = target[0]
+        for b, cover in req.per_fold:
+            # drop one pattern from the first block of each fold's cover
+            first = cover.patterns[0]
             kept = PatternSet(first.block, frozenset(list(first.values)[1:]))
-            clipped.append((b, thr, (kept,) + target[1:]))
-        from dataclasses import replace
-        bad = replace(req, rows=tuple(clipped))
+            patterns = (kept,) + cover.patterns[1:]
+            clipped.append((b, replace(cover, patterns=patterns)))
+        bad = replace(req, per_fold=tuple(clipped))
         assert not certify_request(bad).passed
 
 

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treesum.oracle as oracle_mod
-from treesum.bits import Block, Partition, PatternSet, Point
+from treesum.bits import Block, Partition, PatternSet, Point, pattern_sum
 from treesum.covers import (
+    BlockCheck,
     CertificateRequest,
     ECover,
     MeagerCover,
@@ -30,6 +31,7 @@ from treesum.oracle import (
     nfold_body_sum,
     pattern_nfold,
 )
+from treesum.scenario import Tamper, _apply_tamper
 from treesum.trees import (
     PrefixTree,
     SilverTree,
@@ -261,10 +263,13 @@ class TestNfold:
 
 
 def blockwise_request(src, T, witness, thresholds):
-    """A request checking every fold in `thresholds` against one witness."""
+    """A request checking every fold in `thresholds` against an E cover
+    with the witness patterns, from that fold's threshold on."""
     P = Partition(tuple(w.block for w in witness))
-    rows = tuple((b, thr, witness) for b, thr in thresholds.items())
-    return CertificateRequest("blockwise", P, src, T, rows)
+    per_fold = tuple(
+        (b, ECover(P, witness, thr)) for b, thr in thresholds.items()
+    )
+    return CertificateRequest("blockwise", P, src, T, per_fold)
 
 
 class TestBlockwiseCertify:
@@ -314,6 +319,9 @@ class TestBlockwiseCertify:
         )
         with pytest.raises(ValueError):
             blockwise_request(src, T, skew, {0: 0})
+        off = ECover(Partition(tuple(w.block for w in skew)), skew, 0)
+        with pytest.raises(ValueError, match="off the request partition"):
+            CertificateRequest("skew", P, src, T, ((0, off),))
         with pytest.raises(ValueError, match="past the tree horizon"):
             blockwise_request(src, PrefixTree.full(3), src, {0: 0})
 
@@ -348,7 +356,8 @@ class TestCertifyRequest:
         full = tuple(PatternSet.full(b) for b in P.blocks)
         T = PrefixTree.full(2)
         req = CertificateRequest(
-            "demo", P, src, T, ((0, 0, full), (2, 1, full)),
+            "demo", P, src, T,
+            ((0, ECover(P, full, 0)), (2, ECover(P, full, 1))),
         )
         cert = certify_request(req)
         assert cert.passed
@@ -357,6 +366,100 @@ class TestCertifyRequest:
         }
         assert cert.thresholds == ((0, 0), (2, 1))
         assert cert.label == "demo"
+
+
+def certify_by_targets(req: CertificateRequest) -> tuple[BlockCheck, ...]:
+    """The checks of `req` with every fold's targets materialized, a meager
+    block as all words but its forbidden one, each tested by `is_subset`:
+    the reference for the cover checks of `certify_request`."""
+    checks = []
+    for b, cover in req.per_fold:
+        targets = [
+            cover.allowed(n) if isinstance(cover, MeagerCover)
+            else cover.patterns[n]
+            for n in range(len(req.partition))
+        ]
+        for n in range(getattr(cover, "threshold", 0), len(req.partition)):
+            tree_patterns = pattern_nfold(
+                tree_restrict(req.tree, req.partition[n]), b
+            )
+            shifted = pattern_sum(req.source[n], tree_patterns)
+            checks.append(BlockCheck(b, n, shifted.is_subset(targets[n])))
+    return tuple(checks)
+
+
+@st.composite
+def witness_requests(draw):
+    """A request at a horizon up to 10 with one cover type, meager, E or
+    small, and per fold a random threshold.  Each block is drawn either to
+    contain the fold image (meager: centred off it) or at random, so checks
+    both pass and fail."""
+    horizon = draw(st.integers(1, 10))
+    P = Partition.from_lengths(_lengths(draw, horizon))
+    leaves = draw(
+        st.frozensets(st.integers(0, (1 << horizon) - 1), min_size=1, max_size=12)
+    )
+    T = PrefixTree(horizon, leaves)
+    source = tuple(
+        PatternSet(blk, draw(st.frozensets(st.integers(0, blk.mask), min_size=1)))
+        for blk in P.blocks
+    )
+    kind = draw(st.sampled_from((MeagerCover, ECover, SmallCover)))
+    folds = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)
+    per_fold = []
+    for b in draw(folds):
+        centre, patterns = 0, []
+        for n, blk in enumerate(P.blocks):
+            words = frozenset(range(1 << blk.length))
+            if draw(st.booleans()):
+                kept = pattern_sum(
+                    source[n], pattern_nfold(tree_restrict(T, blk), b)
+                ).values
+                centres = words - kept or words
+            else:
+                kept = draw(st.frozensets(st.sampled_from(sorted(words))))
+                centres = words
+            word = draw(st.sampled_from(sorted(centres)))
+            centre |= word << (horizon - blk.hi)
+            patterns.append(PatternSet(blk, kept))
+        threshold = draw(st.integers(0, len(P)))
+        if kind is MeagerCover:
+            cover = MeagerCover(Point(horizon, centre), P, threshold)
+        elif kind is ECover:
+            cover = ECover(P, tuple(patterns), threshold)
+        else:
+            cover = SmallCover(P, tuple(patterns))
+        per_fold.append((b, cover))
+    return CertificateRequest("random", P, source, T, tuple(per_fold))
+
+
+def _failed(cert) -> set[tuple[int, int]]:
+    return {(c.fold, c.block_index) for c in cert.checks if not c.passed}
+
+
+class TestCoverChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(witness_requests())
+    def test_matches_materialized_targets(self, req):
+        cert = certify_request(req)
+        assert cert.checks == certify_by_targets(req)
+        assert cert.thresholds == tuple(
+            (b, getattr(c, "threshold", 0)) for b, c in req.per_fold
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(witness_requests())
+    def test_tamper_fails_at_its_block_only(self, req):
+        # a dropped word (E, small) or a recentred block (meager) must fail
+        # the tampered [fold, block] and change no other check
+        clean = certify_request(req)
+        for b, cover in req.per_fold:
+            for n in range(getattr(cover, "threshold", 0), len(req.partition)):
+                bad = _apply_tamper(req, Tamper(req.label, b, n))
+                tampered = dict(bad.per_fold)[b]
+                assert type(tampered) is type(cover)
+                assert _failed(certify_request(bad)) == _failed(clean) | {(b, n)}
+                assert certify_by_targets(bad) == certify_request(bad).checks
 
 
 class TestExhaustive:

@@ -19,7 +19,7 @@ from treesum.covers import (
     SmallCover,
     meager_member,
 )
-from treesum.oracle import BudgetExceeded
+from treesum.oracle import BudgetExceeded, certify_request
 from treesum.scenario import (
     RunFlags,
     ScenarioError,
@@ -258,6 +258,19 @@ class TestLoading:
                      "request 0: bad tamper spec [1]: expected an object",
                      id="tamper-not-object"),
         pytest.param(lambda d: (
+            d["covers"].update(golden_doc("chain-simplify")["covers"]),
+            d["requests"].insert(0, {"op": "simplify_e_cover", "chain": "C",
+                                     "folds": [0, 1]}),
+        ), "request 0: simplify_e_cover takes no folds, so no 'folds'",
+            id="folds-on-chain"),
+        pytest.param(lambda d: (
+            d["covers"].update(golden_doc("chain-simplify")["covers"]),
+            d["requests"].insert(0, {"op": "simplify_e_cover", "chain": "C",
+                                     "tamper": {"bundle": "e", "fold": 0,
+                                                "block": 0}}),
+        ), "request 0: simplify_e_cover takes no folds, so no 'tamper'",
+            id="tamper-on-chain"),
+        pytest.param(lambda d: (
             d["partitions"].update(unit={"lengths": [1] * 12}),
             d["covers"].update(S={"kind": "small", "partition": "unit",
                                   "patterns": ["01"] + [["1"]] * 11}),
@@ -372,12 +385,15 @@ class TestRunning:
             per_fold = tuple(
                 (b, replace(cover, threshold=0)) for b, cover in bundle.per_fold
             )
-            return replace(result, witnesses=(replace(bundle, per_fold=per_fold),))
+            request = replace(bundle.request, per_fold=per_fold)
+            return replace(result, witnesses=(replace(bundle, request=request),))
 
         monkeypatch.setattr(scenario_mod, "shrink_silver_meager", lowered)
         report = run(scn, flags)
         w = report.data["requests"][0]["witnesses"][0]
         assert not report.passed
+        assert not w["certificate"]["passed"]
+        assert set(w["certificate"]["thresholds"].values()) == {0}
         failed = sorted(b for b, ok in w["exhaustive"].items() if not ok)
         assert failed
         assert sorted(w["exhaustive_counterexamples"]) == failed
@@ -394,6 +410,31 @@ class TestRunning:
             )
             assert not meager_member(witness, point)
         assert render_report(report) == render_report(run(scn, flags))
+
+    def test_certificates_never_materialize_meager_targets(self, monkeypatch):
+        # a meager block is checked against its one forbidden word; the
+        # complement `allowed` is 2^L - 1 words and must never be built
+        replays = []
+
+        def record(req, *args):
+            cert = certify_request(req, *args)
+            replays.append((req, cert))
+            return cert
+
+        monkeypatch.setattr(scenario_mod, "certify_request", record)
+        for name in bundled_scenario_names():
+            run(load_bundled(name), RunFlags(deterministic=True))
+
+        def refuse(self, n):
+            raise AssertionError("meager target words materialized")
+
+        monkeypatch.setattr(MeagerCover, "allowed", refuse)
+        assert any(
+            isinstance(cover, MeagerCover)
+            for req, _ in replays for _, cover in req.per_fold
+        )
+        for req, cert in replays:
+            assert certify_request(req) == cert
 
     def test_request_folds_override_flags(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
