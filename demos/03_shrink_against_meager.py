@@ -28,14 +28,14 @@ print("kept free coordinates:", sorted(result.tree_out.free))
 for key, value in result.provenance.details:
     print(f"  {key} = {value}")
 
-bundle = result.witnesses[0]
-witness = bundle.cover_for(0)
+request = result.witnesses[0]
+witness = request.cover_for(0)
 print("witness center:", witness.xF.bits(), "threshold", witness.threshold)
 
 # replay the stored checks, then cross-check with brute force
-cert = certify_request(bundle.request)
+cert = certify_request(request)
 print("certificate passed:", cert.passed, f"({len(cert.checks)} block checks)")
 subtree = result.tree_as_prefix()
-for b, cover_b in bundle.per_fold:
+for b, cover_b in request.per_fold:
     ok = exhaustive_containment(cover, subtree, b, cover_b)
     print(f"  exhaustive agreement at fold {b}: {ok}")

@@ -33,8 +33,8 @@ for warning in result.provenance.warnings:
 subtree = result.tree_as_prefix()
 print("kept", len(subtree.leaves), "of", 2 ** 12, "branches")
 
-bundle = result.witnesses[0]
-cert = certify_request(bundle.request)
+request = result.witnesses[0]
+cert = certify_request(request)
 print("certificate passed:", cert.passed)
-for b, witness in bundle.per_fold:
+for b, witness in request.per_fold:
     print(f"  fold {b}: witness mass {witness.mass}")

@@ -29,6 +29,7 @@ from .bits import (
 from .covers import (
     CertificateRequest,
     ClosedNullChain,
+    Cover,
     ECover,
     MeagerCover,
     NullCover,
@@ -50,9 +51,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_FOLDS = (0, 1, 2, 3)
 
-Cover = MeagerCover | SmallCover | ECover
-
-
 @dataclass(frozen=True)
 class Provenance:
     op: str
@@ -60,48 +58,10 @@ class Provenance:
     warnings: tuple[str, ...] = ()
 
 
-_KINDS = {MeagerCover: "meager", SmallCover: "small", ECover: "e"}
-
-
-@dataclass(frozen=True)
-class WitnessBundle:
-    """The certificate request of one claim, which holds its per-fold
-    witness covers; `point_source`, the input cover the exhaustive oracle
-    starts from (None for small covers, which have no point test); and
-    `mass_bounds`, the per-fold bounds a small cover's mass is audited against."""
-
-    request: CertificateRequest
-    point_source: MeagerCover | ECover | None
-    mass_bounds: tuple[tuple[int, Fraction], ...]
-
-    @property
-    def label(self) -> str:
-        return self.request.label
-
-    @property
-    def per_fold(self) -> tuple[tuple[int, Cover], ...]:
-        return self.request.per_fold
-
-    @property
-    def kind(self) -> str:
-        return _KINDS[type(self.per_fold[0][1])]
-
-    @property
-    def uniform_witness(self) -> bool:
-        """Whether one cover serves every fold."""
-        return len({cover for _, cover in self.per_fold}) == 1
-
-    def cover_for(self, fold: int) -> Cover:
-        for f, cover in self.per_fold:
-            if f == fold:
-                return cover
-        raise ValueError(f"no witness for fold {fold}")
-
-
 @dataclass(frozen=True)
 class ShrinkResult:
     tree_out: SilverTree | PrefixTree
-    witnesses: tuple[WitnessBundle, ...]
+    witnesses: tuple[CertificateRequest, ...]
     provenance: Provenance
 
     def tree_as_prefix(self) -> PrefixTree:
@@ -147,43 +107,20 @@ def _super_sizes() -> Iterable[int]:
     return ((2**n) ** (n + 1) for n in itertools.count())
 
 
-def _bundle(
+def _request(
     label: str,
     source: Cover,
     tree: PrefixTree,
     per_fold: Iterable[tuple[int, Cover]],
     ranges: Sequence[tuple[int, int]] = (),
     bounds: Iterable[tuple[int, Fraction]] = (),
-) -> WitnessBundle:
-    """The witness bundle of per-fold covers of one type, replayed against
-    `tree` on the covers' partition.
-
-    A small source cover's patterns are the request's source as they stand,
-    and its witnesses are audited against the per-fold mass `bounds`.  A
-    meager or E source becomes the bundle's point source; per group of
-    fine blocks in `ranges`, the request's source is the product of its
-    fine patterns: every word below its threshold, past it the allowed
-    words of a meager cover or the listed words of an E cover.
-    """
-    per_fold = tuple(per_fold)
-
-    def fine(j: int) -> PatternSet:
-        if j < source.threshold:
-            return PatternSet.full(source.partition[j])
-        if isinstance(source, MeagerCover):
-            return source.allowed(j)
-        return source.patterns[j]
-
-    if isinstance(source, SmallCover):
-        patterns, point_source = source.patterns, None
-    else:
-        patterns = tuple(
-            block_product([fine(j) for j in range(lo, hi)]) for lo, hi in ranges
-        )
-        point_source = source
-    partition = per_fold[0][1].partition
-    request = CertificateRequest(label, partition, patterns, tree, per_fold)
-    return WitnessBundle(request, point_source, tuple(bounds))
+) -> CertificateRequest:
+    """The request replaying per-fold covers against `tree`; without
+    `ranges`, each witness block is one source block."""
+    ranges = ranges or [(n, n + 1) for n in range(len(source.partition))]
+    return CertificateRequest(
+        label, source, tuple(ranges), tree, tuple(per_fold), tuple(bounds)
+    )
 
 
 def _least_free(free: frozenset[int], blocks: Iterable[Block]) -> list[int]:
@@ -250,7 +187,7 @@ def shrink_silver_meager(
             x = x ^ T.x.truncate(Hw)
         per_fold.append((b, MeagerCover(x, coarse, threshold)))
 
-    bundle = _bundle("meager", F, silver_to_prefix(tree_out), per_fold, ranges)
+    request = _request("meager", F, silver_to_prefix(tree_out), per_fold, ranges)
     prov = Provenance(
         "shrink_silver_meager",
         (
@@ -260,7 +197,7 @@ def shrink_silver_meager(
         ),
         tuple(warnings),
     )
-    return ShrinkResult(tree_out, (bundle,), prov)
+    return ShrinkResult(tree_out, (request,), prov)
 
 
 def _tuples_over(letters: list[str], max_len: int) -> list[tuple[str, ...]]:
@@ -350,7 +287,7 @@ def shrink_perfect_meager(
         (b, MeagerCover(x_H, supers, min(max(b, base), len(supers))))
         for b in folds
     )
-    bundle = _bundle("meager", F, tree_out, per_fold, ranges)
+    request = _request("meager", F, tree_out, per_fold, ranges)
     prov = Provenance(
         "shrink_perfect_meager",
         (
@@ -362,7 +299,7 @@ def shrink_perfect_meager(
         ),
         tuple(warnings),
     )
-    return ShrinkResult(tree_out, (bundle,), prov)
+    return ShrinkResult(tree_out, (request,), prov)
 
 
 def build_splitting_meager(
@@ -397,7 +334,7 @@ def build_splitting_meager(
         thr = base if b == 0 else max(base, b + 1)
         per_fold.append((b, MeagerCover(x_w, supers, min(thr, len(supers)))))
 
-    bundle = _bundle("meager", F, tree_out, per_fold, ranges)
+    request = _request("meager", F, tree_out, per_fold, ranges)
     prov = Provenance(
         "build_splitting_meager",
         (
@@ -407,7 +344,7 @@ def build_splitting_meager(
         ),
         tuple(warnings),
     )
-    return ShrinkResult(tree_out, (bundle,), prov)
+    return ShrinkResult(tree_out, (request,), prov)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +372,7 @@ def shrink_silver_small(
         for blk, J in zip(P, F.patterns)
     ))
     bound = 4 * F.mass
-    bundle = _bundle(
+    request = _request(
         "small", F, silver_to_prefix(tree_out),
         ((b, witness) for b in folds), bounds=((b, bound) for b in folds),
     )
@@ -444,7 +381,7 @@ def shrink_silver_small(
         (("selected", _format_coords(selected)),),
         tuple(warnings),
     )
-    return ShrinkResult(tree_out, (bundle,), prov)
+    return ShrinkResult(tree_out, (request,), prov)
 
 
 def _compose_two_smalls(
@@ -457,11 +394,10 @@ def _compose_two_smalls(
     first = first_step(F.first, T)
     second = second_step(F.second, first.tree_out)
     final_prefix = second.tree_as_prefix()
-    bundles = []
-    for stage, res in (("1", first), ("2", second)):
-        b = res.witnesses[0]
-        request = replace(b.request, label=f"small-{stage}", tree=final_prefix)
-        bundles.append(replace(b, request=request))
+    requests = [
+        replace(res.witnesses[0], label=f"small-{stage}", tree=final_prefix)
+        for stage, res in (("1", first), ("2", second))
+    ]
     details = (
         tuple((f"first.{k}", v) for k, v in first.provenance.details)
         + tuple((f"second.{k}", v) for k, v in second.provenance.details)
@@ -471,7 +407,7 @@ def _compose_two_smalls(
         details,
         first.provenance.warnings + second.provenance.warnings,
     )
-    return ShrinkResult(second.tree_out, tuple(bundles), prov)
+    return ShrinkResult(second.tree_out, tuple(requests), prov)
 
 
 def shrink_silver_null(
@@ -570,7 +506,7 @@ def shrink_perfect_small(
         per_fold.append((b, SmallCover(P, pats)))
 
     mass = F.mass
-    bundle = _bundle(
+    request = _request(
         "small", F, tree_out, per_fold,
         bounds=((b, (1 << (b * b)) * mass) for b in folds),
     )
@@ -579,7 +515,7 @@ def shrink_perfect_small(
         kseq_details + (("uniform", str(uniform).lower()),),
         tuple(warnings),
     )
-    return ShrinkResult(tree_out, (bundle,), prov)
+    return ShrinkResult(tree_out, (request,), prov)
 
 
 def shrink_perfect_null(
@@ -646,7 +582,7 @@ def build_splitting_null(
     tree_out = PrefixTree(H, frozenset(_subset_ors(piece_masks + unit_masks)))
 
     chi = frozenset(A)
-    bundles = []
+    requests = []
     for label, small, P in (
         ("small-1", F.first, P1),
         ("small-2", F.second, P2),
@@ -671,7 +607,7 @@ def build_splitting_null(
             )
         witness = SmallCover(P, tuple(pats))
         bound = 8 * small.mass
-        bundles.append(_bundle(
+        requests.append(_request(
             label, small, tree_out,
             ((b, witness) for b in folds), bounds=((b, bound) for b in folds),
         ))
@@ -683,7 +619,7 @@ def build_splitting_null(
         ),
         (),
     )
-    return ShrinkResult(tree_out, tuple(bundles), prov)
+    return ShrinkResult(tree_out, tuple(requests), prov)
 
 
 def shrink_mn(
@@ -711,8 +647,7 @@ def shrink_mn(
     else:
         raise ValueError(f"unknown kind {kind!r}")
     final_prefix = null.tree_as_prefix()
-    mb = meager.witnesses[0]
-    mb = replace(mb, request=replace(mb.request, tree=final_prefix))
+    mb = replace(meager.witnesses[0], tree=final_prefix)
     prov = Provenance(
         "shrink_mn",
         (("kind", kind),)
@@ -786,7 +721,7 @@ def shrink_silver_e(
         )
         for blk, (lo, hi) in zip(triples, ranges)
     ), threshold)
-    bundle = _bundle(
+    request = _request(
         "e", E, silver_to_prefix(tree_out),
         ((b, witness) for b in folds), ranges,
     )
@@ -799,7 +734,7 @@ def shrink_silver_e(
         ),
         tuple(warnings),
     )
-    return ShrinkResult(tree_out, (bundle,), prov)
+    return ShrinkResult(tree_out, (request,), prov)
 
 
 def shrink_perfect_e(
@@ -839,7 +774,7 @@ def shrink_perfect_e(
         (b, ECover(supers, witness_patterns, min(max(b, base), len(supers))))
         for b in folds
     )
-    bundle = _bundle("e", E, tree_out, per_fold, ranges)
+    request = _request("e", E, tree_out, per_fold, ranges)
     prov = Provenance(
         "shrink_perfect_e",
         (
@@ -849,7 +784,7 @@ def shrink_perfect_e(
         ),
         tuple(warnings),
     )
-    return ShrinkResult(tree_out, (bundle,), prov)
+    return ShrinkResult(tree_out, (request,), prov)
 
 
 def build_splitting_e(
@@ -889,7 +824,7 @@ def build_splitting_e(
         )
         for blk, a, (lo, hi) in zip(triples, A, ranges)
     ), threshold)
-    bundle = _bundle("e", E, tree_out, ((b, witness) for b in folds), ranges)
+    request = _request("e", E, tree_out, ((b, witness) for b in folds), ranges)
     prov = Provenance(
         "build_splitting_e",
         (
@@ -899,4 +834,4 @@ def build_splitting_e(
         ),
         tuple(warnings),
     )
-    return ShrinkResult(tree_out, (bundle,), prov)
+    return ShrinkResult(tree_out, (request,), prov)

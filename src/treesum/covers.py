@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import Partition, PatternSet, Point, restrict
+from .bits import Block, Partition, PatternSet, Point, restrict
 from .trees import PrefixTree
 
 log = logging.getLogger(__name__)
@@ -197,26 +197,79 @@ class Certificate:
         )
 
 
+Cover = MeagerCover | SmallCover | ECover
+
+_KINDS = {MeagerCover: "meager", SmallCover: "small", ECover: "e"}
+
+
+def admitted(cover: Cover, n: int) -> PatternSet:
+    """The words a cover admits on block n: every word below its threshold,
+    past it the allowed words of a meager cover or the listed patterns."""
+    if n < getattr(cover, "threshold", 0):
+        return PatternSet.full(cover.partition[n])
+    if isinstance(cover, MeagerCover):
+        return cover.allowed(n)
+    return cover.patterns[n]
+
+
 @dataclass(frozen=True)
 class CertificateRequest:
-    """Everything needed to (re)run the blockwise checks of one witness:
-    per-block source patterns, the tree whose fold-sums shift them, and the
-    witness cover of each fold, whose blocks are the targets.
+    """One claim, source + b-fold tree patterns inside each fold's witness.
+
+    `source` is the operation's input cover and `ranges` the run of its
+    blocks that each witness block spans; every `per_fold` cover is of the
+    source's type, and `mass_bounds` bound a small witness's mass per fold.
     """
 
     label: str
-    partition: Partition
-    source: tuple[PatternSet, ...]
+    source: Cover
+    ranges: tuple[tuple[int, int], ...]
     tree: PrefixTree
-    per_fold: tuple[tuple[int, MeagerCover | SmallCover | ECover], ...]
+    per_fold: tuple[tuple[int, Cover], ...]
+    mass_bounds: tuple[tuple[int, Fraction], ...] = ()
 
     def __post_init__(self):
-        _check_blockwise(self.partition, self.source)
+        if not self.per_fold:
+            raise ValueError("request has no folds")
         for fold, cover in self.per_fold:
+            if type(cover) is not type(self.source):
+                raise ValueError(f"fold {fold} cover is not of the source's type")
             if cover.partition != self.partition:
                 raise ValueError(f"fold {fold} cover is off the request partition")
+        fine = self.source.partition
+        if len(self.ranges) != len(self.partition) or any(
+            not 0 <= lo < hi <= len(fine)
+            or Block(fine[lo].lo, fine[hi - 1].hi) != blk
+            for (lo, hi), blk in zip(self.ranges, self.partition)
+        ):
+            raise ValueError("ranges do not tile the witness partition")
         if self.partition.horizon > self.tree.horizon:
             raise ValueError("witness partition reaches past the tree horizon")
+
+    @property
+    def partition(self) -> Partition:
+        return self.per_fold[0][1].partition
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[type(self.source)]
+
+    @property
+    def point_source(self) -> MeagerCover | ECover | None:
+        """The cover the exhaustive oracle starts from; small covers have
+        no point test."""
+        return None if isinstance(self.source, SmallCover) else self.source
+
+    @property
+    def uniform_witness(self) -> bool:
+        """Whether one cover serves every fold."""
+        return len({cover for _, cover in self.per_fold}) == 1
+
+    def cover_for(self, fold: int) -> Cover:
+        for f, cover in self.per_fold:
+            if f == fold:
+                return cover
+        raise ValueError(f"no witness for fold {fold}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .bits import (
     _swap_masks,
     _to_bitset,
     _translate_union,
+    block_product,
     pattern_sum,
     restrict,
 )
@@ -31,6 +32,7 @@ from .covers import (
     ECover,
     MeagerCover,
     SmallCover,
+    admitted,
     e_density_audit,
 )
 from .trees import PrefixTree, tree_restrict
@@ -81,18 +83,32 @@ def certify_request(
 ) -> Certificate:
     """Run a stored request: for each fold, check source + b-fold tree
     patterns against that fold's witness cover, block by block from its
-    threshold on.  The shifted set must miss a meager block's one
-    forbidden word, and lie inside an E or small block's patterns."""
-    checks = []
+    threshold on.  A meager block passes when, for its forbidden word x and
+    each tree pattern r, x + r matches the source centre on some source
+    block at or past the source threshold; an E or small block when the
+    shifted product of the source's admitted words lies in its patterns."""
+    source, checks, products = req.source, [], {}
     for b, cover in req.per_fold:
         for n in range(getattr(cover, "threshold", 0), len(req.partition)):
-            tree_patterns = pattern_nfold(
-                tree_restrict(req.tree, req.partition[n]), b, budget
-            )
-            shifted = pattern_sum(req.source[n], tree_patterns).values
+            blk = req.partition[n]
+            tree_patterns = pattern_nfold(tree_restrict(req.tree, blk), b, budget)
+            lo, hi = req.ranges[n]
             if isinstance(cover, MeagerCover):
-                ok = cover.forbidden(n).values.isdisjoint(shifted)
+                x = restrict(cover.xF, blk).value ^ restrict(source.xF, blk).value
+                fine = [
+                    (blk.hi - f.hi, f.mask)
+                    for f in source.partition.blocks[max(lo, source.threshold):hi]
+                ]
+                ok = all(
+                    any(not (x ^ r) >> shift & mask for shift, mask in fine)
+                    for r in tree_patterns.values
+                )
             else:
+                if n not in products:
+                    products[n] = block_product(
+                        [admitted(source, j) for j in range(lo, hi)]
+                    )
+                shifted = pattern_sum(products[n], tree_patterns).values
                 ok = shifted <= cover.patterns[n].values
             checks.append(BlockCheck(b, n, ok))
     thresholds = tuple((b, getattr(c, "threshold", 0)) for b, c in req.per_fold)
@@ -117,15 +133,8 @@ class Counterexample:
 
 
 def _block_bits(cover: PointCover, n: int) -> int:
-    """Admissible values on block n as a 2^length-bit set; every value is
-    admissible below the threshold."""
-    blk = cover.partition[n]
-    full = (1 << (1 << blk.length)) - 1
-    if n < cover.threshold:
-        return full
-    if isinstance(cover, MeagerCover):
-        return full ^ (1 << restrict(cover.xF, blk).value)
-    return _to_bitset(cover.patterns[n].values, blk.length)
+    """Admitted values on block n as a 2^length-bit set."""
+    return _to_bitset(admitted(cover, n).values, cover.partition[n].length)
 
 
 def _point_set(cover: PointCover, width: int) -> int:
@@ -252,14 +261,14 @@ class AuditRow:
     passed: bool
 
 
-def density_audit_table(bundle) -> tuple[AuditRow, ...]:
+def density_audit_table(req) -> tuple[AuditRow, ...]:
     """Numeric audit of a per-fold witness family: a small cover's total
-    mass against the bundle's mass bound for its fold, an E cover's max
+    mass against the request's mass bound for its fold, an E cover's max
     block density against 1/2.  Meager covers have no numeric audit and
     produce no rows."""
-    bounds = dict(bundle.mass_bounds)
+    bounds = dict(req.mass_bounds)
     rows = []
-    for fold, cover in bundle.per_fold:
+    for fold, cover in req.per_fold:
         if isinstance(cover, SmallCover):
             kind, value, bound = "mass", cover.mass, bounds[fold]
         elif isinstance(cover, ECover):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .bits import Block, Partition, PatternSet, Point, pattern_sum, restrict
+from .bits import Block, Partition, PatternSet, Point, restrict
 from .covers import (
     Certificate,
     ClosedNullChain,
@@ -26,6 +26,7 @@ from .covers import (
     NullCover,
     SmallCover,
     Stage,
+    admitted,
     e_density_audit,
 )
 # the operations are called by name through _OPS, see _run_request
@@ -485,9 +486,10 @@ def list_ops() -> tuple[str, ...]:
 
 
 def _apply_tamper(request_obj, tamper: Tamper):
-    """Swap the fold's witness cover for one that misses the least word of
-    the fold image on the block, so the certificate must fail there: an E
-    or small block drops the word, a meager block is recentred on it."""
+    """Swap the fold's witness cover for one that misses a word of the fold
+    image on the block, so the certificate must fail there: the least
+    source word plus the least tree pattern.  An E or small block drops the
+    word, a meager block is recentred on it."""
     fold, n = tamper.fold, tamper.block
     if n >= len(request_obj.partition):
         raise ScenarioError(f"tamper block {n} out of range")
@@ -501,11 +503,14 @@ def _apply_tamper(request_obj, tamper: Tamper):
             "threshold; the certificate would not consult it"
         )
     blk = request_obj.partition[n]
-    tree_patterns = pattern_nfold(tree_restrict(request_obj.tree, blk), fold)
-    image = pattern_sum(request_obj.source[n], tree_patterns)
-    if not image.values:
-        raise ScenarioError("tamper target block has an empty fold image")
-    hit = min(image.values)
+    lo, hi = request_obj.ranges[n]
+    hit = 0
+    for j in range(lo, hi):
+        factor = admitted(request_obj.source, j)
+        if not factor.values:
+            raise ScenarioError("tamper target block has an empty fold image")
+        hit = hit << factor.block.length | min(factor.values)
+    hit ^= min(pattern_nfold(tree_restrict(request_obj.tree, blk), fold).values)
     if isinstance(cover, MeagerCover):
         moved = (restrict(cover.xF, blk).value ^ hit) << (cover.horizon - blk.hi)
         per_fold[fold] = replace(cover, xF=cover.xF ^ Point(cover.horizon, moved))
@@ -552,26 +557,25 @@ def _certificate_entry(cert: Certificate) -> dict:
 def _witness_entries(witnesses, tamper, flags):
     entries = []
     request_pass = True
-    for bundle in witnesses:
-        tampered = tamper is not None and tamper.bundle == bundle.label
-        request_obj = bundle.request
-        if tampered:
-            request_obj = _apply_tamper(request_obj, tamper)
+    for request_obj in witnesses:
+        tampered = tamper is not None and tamper.bundle == request_obj.label
         try:
-            cert = certify_request(request_obj)
+            cert = certify_request(
+                _apply_tamper(request_obj, tamper) if tampered else request_obj
+            )
         except BudgetExceeded as err:
             entries.append({
-                "label": bundle.label,
-                "kind": bundle.kind,
+                "label": request_obj.label,
+                "kind": request_obj.kind,
                 "error": f"oracle budget exceeded: {err}",
             })
             request_pass = False
             continue
         request_pass = request_pass and cert.passed
         entry = {
-            "label": bundle.label,
-            "kind": bundle.kind,
-            "uniform_witness": bundle.uniform_witness,
+            "label": request_obj.label,
+            "kind": request_obj.kind,
+            "uniform_witness": request_obj.uniform_witness,
             "tampered": tampered,
             "certificate": _certificate_entry(cert),
             "covers": [
@@ -584,10 +588,10 @@ def _witness_entries(witnesses, tamper, flags):
                         else None
                     ),
                 }
-                for b, cover in bundle.per_fold
+                for b, cover in request_obj.per_fold
             ],
         }
-        rows = density_audit_table(bundle)
+        rows = density_audit_table(request_obj)
         if rows:
             entry["audits"] = [
                 {
@@ -600,7 +604,7 @@ def _witness_entries(witnesses, tamper, flags):
                 for r in rows
             ]
             request_pass = request_pass and all(r.passed for r in rows)
-        source, tree = bundle.point_source, bundle.request.tree
+        source, tree = request_obj.point_source, request_obj.tree
         if (
             source is not None
             and flags.exhaustive
@@ -612,7 +616,7 @@ def _witness_entries(witnesses, tamper, flags):
                     str(b): exhaustive_containment(
                         source, tree, b, cover, cap=flags.horizon_cap
                     )
-                    for b, cover in bundle.per_fold
+                    for b, cover in request_obj.per_fold
                 }
             except BudgetExceeded as err:
                 entry["exhaustive_error"] = f"oracle budget exceeded: {err}"
@@ -624,7 +628,7 @@ def _witness_entries(witnesses, tamper, flags):
                     b: exhaustive_counterexample(
                         source, tree, b, cover, cap=flags.horizon_cap
                     )
-                    for b, cover in bundle.per_fold
+                    for b, cover in request_obj.per_fold
                     if not ex[str(b)]
                 }
                 if failed:

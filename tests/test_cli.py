@@ -111,30 +111,46 @@ class TestRunVerb:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_generation_two_meager_certifies_past_the_cap(self, tmp_path):
-        # unit fine blocks at horizon 80 reach super-block 2, 64 bits wide;
-        # certifying it must not build the 2^64 - 1 words a meager block
-        # admits.  The child runs under a 2 GB address-space limit, so a
-        # regression fails here instead of exhausting the host's memory.
+    @pytest.mark.parametrize(
+        "horizon, lengths, tamper, failed",
+        [
+            (80, [1] * 80, None, []),
+            (88, [1] * 5 + [2] * 16 + [1] * 51, None, []),
+            (88, [1] * 5 + [2] * 16 + [1] * 51,
+             {"bundle": "meager", "fold": 2, "block": 2}, [[2, 2]]),
+        ],
+        ids=["horizon-80", "horizon-88", "horizon-88-tamper"],
+    )
+    def test_generation_two_meager_certifies_past_the_cap(
+        self, tmp_path, horizon, lengths, tamper, failed
+    ):
+        # the fine blocks reach super-block 2, 64 fine blocks wide;
+        # certifying it must build neither the 2^64 - 1 words a meager
+        # witness block admits nor the 3^16 words the horizon-88 source
+        # admits there, and neither may the tamper.  The child runs under a
+        # 2 GB address-space limit, so a regression fails here instead of
+        # exhausting the host's memory.
         resource = pytest.importorskip("resource")
-        horizon, splits = 80, (0, 20, 40, 60, 79)
+        splits = (0, 20, 40, 60, horizon - 1)
         leaves = [
             "".join("1" if c in chosen else "0" for c in range(horizon))
             for k in range(len(splits) + 1)
             for chosen in itertools.combinations(splits, k)
         ]
+        request = {"op": "shrink_perfect_meager", "cover": "F", "tree": "T"}
+        if tamper:
+            request["tamper"] = tamper
         doc = {
-            "name": "perfect-meager-80",
+            "name": f"perfect-meager-{horizon}",
             "horizon": horizon,
-            "partitions": {"unit": {"lengths": [1] * horizon}},
+            "partitions": {"fine": {"lengths": lengths}},
             "points": {"xF": "01" * (horizon // 2)},
             "trees": {"T": {"kind": "prefix", "leaves": leaves}},
             "covers": {"F": {"kind": "meager", "x": "xF",
-                             "partition": "unit", "threshold": 0}},
-            "requests": [{"op": "shrink_perfect_meager", "cover": "F",
-                          "tree": "T"}],
+                             "partition": "fine", "threshold": 0}},
+            "requests": [request],
         }
-        path = tmp_path / "perfect-meager-80.json"
+        path = tmp_path / "perfect-meager.json"
         path.write_text(json.dumps(doc))
         limit = 2 << 30
         proc = subprocess.run(
@@ -146,14 +162,15 @@ class TestRunVerb:
                 resource.RLIMIT_AS, (limit, limit)
             ),
         )
-        assert proc.returncode == EXIT_PASS, proc.stderr
+        assert proc.returncode == (EXIT_FAIL if failed else EXIT_PASS), proc.stderr
         report = json.loads(proc.stdout)
         entry = report["requests"][0]
-        assert report["passed"]
+        assert report["passed"] == (not failed)
         assert len(leaves) == 32 and entry["tree"]["leaf_count"] == 8
         assert entry["provenance"]["details"]["generations"] == "3"
         w = entry["witnesses"][0]
-        assert w["certificate"]["passed"]
+        assert w["certificate"]["passed"] == (not failed)
+        assert w["certificate"]["failed_blocks"] == failed
         assert w["certificate"]["checks"] == 6
         assert "exhaustive" not in w
 

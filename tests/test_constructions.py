@@ -104,7 +104,7 @@ class TestSilverMeager:
         res = shrink_silver_meager(F, T)
         assert sorted(res.tree_out.free) == [0, 5, 9]
         assert res.tree_out.x == T.x
-        cert = certify_request(res.witnesses[0].request)
+        cert = certify_request(res.witnesses[0])
         assert cert.passed
         for b, cover in res.witnesses[0].per_fold:
             assert exhaustive_containment(F, res.tree_as_prefix(), b, cover)
@@ -112,13 +112,13 @@ class TestSilverMeager:
     def test_witness_centers_follow_fold_parity(self):
         F, T = meager_fixture()
         res = shrink_silver_meager(F, T)
-        bundle = res.witnesses[0]
-        even = bundle.cover_for(0)
-        odd = bundle.cover_for(1)
+        req = res.witnesses[0]
+        even = req.cover_for(0)
+        odd = req.cover_for(1)
         assert even.xF == F.xF
         assert odd.xF == F.xF ^ T.x
-        assert bundle.cover_for(2).xF == even.xF
-        assert not bundle.uniform_witness
+        assert req.cover_for(2).xF == even.xF
+        assert not req.uniform_witness
 
     def test_threshold_halves_rounding_up(self):
         P = Partition.from_lengths([2] * 6)
@@ -134,7 +134,7 @@ class TestSilverMeager:
         res = shrink_silver_meager(F, T)
         assert res.witnesses[0].cover_for(0).horizon == 8
         assert any("pair" in w for w in res.provenance.warnings)
-        cert = certify_request(res.witnesses[0].request)
+        cert = certify_request(res.witnesses[0])
         assert cert.passed
 
     def test_single_block_rejected(self):
@@ -154,7 +154,7 @@ class TestSilverMeager:
         res = shrink_silver_meager(F, bare)
         assert res.tree_out.free == frozenset()
         assert res.provenance.warnings
-        assert certify_request(res.witnesses[0].request).passed
+        assert certify_request(res.witnesses[0]).passed
 
     def test_output_is_silver_subtree(self):
         F, T = meager_fixture()
@@ -177,7 +177,7 @@ class TestPerfectMeager:
     def test_per_fold_thresholds(self):
         F, _ = meager_fixture()
         res = shrink_perfect_meager(F, PrefixTree.full(12))
-        cert = certify_request(res.witnesses[0].request)
+        cert = certify_request(res.witnesses[0])
         assert cert.passed
         assert dict(cert.thresholds) == {0: 0, 1: 1, 2: 2, 3: 2}
         for b, cover in res.witnesses[0].per_fold:
@@ -211,7 +211,7 @@ class TestPerfectMeager:
         T = silver_to_prefix(SilverTree(Point.zero(7), frozenset({1, 5, 6})))
         res = shrink_perfect_meager(F, T)
         assert is_subtree(res.tree_out, T)
-        assert certify_request(res.witnesses[0].request).passed
+        assert certify_request(res.witnesses[0]).passed
         for b, cover in res.witnesses[0].per_fold:
             assert exhaustive_containment(F, res.tree_out, b, cover)
 
@@ -230,7 +230,7 @@ class TestSplittingMeager:
         P = Partition.from_lengths([1] * 12)
         F = MeagerCover(Point.from_bits("110100101101"), P, 0)
         res = build_splitting_meager(F)
-        assert certify_request(res.witnesses[0].request).passed
+        assert certify_request(res.witnesses[0]).passed
         for b, cover in res.witnesses[0].per_fold:
             assert exhaustive_containment(F, res.tree_out, b, cover)
 
@@ -257,19 +257,19 @@ class TestSilverSmall:
         F, T = small_fixture()
         res = shrink_silver_small(F, T)
         assert sorted(res.tree_out.free) == [1, 4, 8]
-        bundle = res.witnesses[0]
-        assert bundle.uniform_witness
-        witness = bundle.cover_for(0)
+        req = res.witnesses[0]
+        assert req.uniform_witness
+        witness = req.cover_for(0)
         for n in range(4):
             assert len(witness.patterns[n]) <= 4 * len(F.patterns[n])
-        rows = density_audit_table(bundle)
+        rows = density_audit_table(req)
         assert all(r.passed for r in rows)
         assert rows[0].bound == 4 * F.mass
 
     def test_certificate(self):
         F, T = small_fixture()
         res = shrink_silver_small(F, T)
-        assert certify_request(res.witnesses[0].request).passed
+        assert certify_request(res.witnesses[0]).passed
         assert is_subtree(res.tree_as_prefix(), silver_to_prefix(T))
 
     def test_block_without_free_coordinate_skipped(self):
@@ -292,8 +292,8 @@ class TestSilverNull:
         assert [w.label for w in res.witnesses] == ["small-1", "small-2"]
         final = res.tree_as_prefix()
         for w in res.witnesses:
-            assert w.request.tree == final
-            assert certify_request(w.request).passed
+            assert w.tree == final
+            assert certify_request(w).passed
             assert all(r.passed for r in density_audit_table(w))
 
     def test_empty_second_cover_keeps_tree(self):
@@ -335,7 +335,7 @@ class TestPerfectSmall:
     def test_fold_bounds(self):
         F = self.fixture()
         res = shrink_perfect_small(F, PrefixTree.full(12))
-        assert certify_request(res.witnesses[0].request).passed
+        assert certify_request(res.witnesses[0]).passed
         rows = density_audit_table(res.witnesses[0])
         assert [r.bound for r in rows] == [
             F.mass, 2 * F.mass, 16 * F.mass, 512 * F.mass,
@@ -357,7 +357,7 @@ class TestPerfectSmall:
         F = SmallCover(P, tuple(PatternSet.empty(P[i]) for i in range(2)))
         res = shrink_perfect_small(F, PrefixTree.full(6))
         assert dict(res.provenance.details)["kseq"].startswith("skipped")
-        assert certify_request(res.witnesses[0].request).passed
+        assert certify_request(res.witnesses[0]).passed
 
     def test_uniform_matches_greedy_on_full_tree(self):
         F = self.fixture()
@@ -390,8 +390,8 @@ class TestPerfectNull:
         # trailing zero-density block inherits the previous budget value
         assert details["second.split_budget"] == "0,1,1"
         for w in res.witnesses:
-            assert w.request.tree == res.tree_out
-            assert certify_request(w.request).passed
+            assert w.tree == res.tree_out
+            assert certify_request(w).passed
 
     def test_tree_chain_shrinks(self):
         F = self.fixture()
@@ -429,7 +429,7 @@ class TestSplittingNull:
         F = self.fixture()
         res = build_splitting_null(F)
         for w, small in zip(res.witnesses, (F.first, F.second)):
-            cert = certify_request(w.request)
+            cert = certify_request(w)
             assert cert.passed
             witness = w.cover_for(0)
             assert witness.mass <= 8 * small.mass
@@ -468,8 +468,8 @@ class TestShrinkMN:
         assert sorted(res.tree_out.free) == [0]
         final = res.tree_as_prefix()
         for w in res.witnesses:
-            assert w.request.tree == final
-            assert certify_request(w.request).passed
+            assert w.tree == final
+            assert certify_request(w).passed
 
     def test_perfect_kind(self):
         P = Partition.from_lengths([1] * 6)
@@ -479,7 +479,7 @@ class TestShrinkMN:
         res = shrink_mn(Fm, NullCover(small, small), PrefixTree.full(6), "perfect")
         assert dict(res.provenance.details)["kind"] == "perfect"
         for w in res.witnesses:
-            assert certify_request(w.request).passed
+            assert certify_request(w).passed
 
     def test_kind_validation(self):
         F, T = meager_fixture()
@@ -539,12 +539,12 @@ class TestSilverE:
         T = SilverTree(Point.from_bits("010011100101"), frozenset({1, 4, 7, 10}))
         res = shrink_silver_e(E, T)
         assert sorted(res.tree_out.free) == [1, 7]
-        bundle = res.witnesses[0]
-        assert bundle.uniform_witness
-        value, ok = e_density_audit(bundle.cover_for(0))
+        req = res.witnesses[0]
+        assert req.uniform_witness
+        value, ok = e_density_audit(req.cover_for(0))
         assert ok and value == Fraction(1, 2)
-        assert certify_request(bundle.request).passed
-        for b, cover in bundle.per_fold:
+        assert certify_request(req).passed
+        for b, cover in req.per_fold:
             assert exhaustive_containment(E, res.tree_as_prefix(), b, cover)
 
     def test_threshold_scales_by_three(self):
@@ -578,7 +578,7 @@ class TestPerfectE:
             "000000000000", "000000000010",
             "001000000000", "001000000010",
         ]
-        cert = certify_request(res.witnesses[0].request)
+        cert = certify_request(res.witnesses[0])
         assert cert.passed
         assert dict(cert.thresholds) == {0: 0, 1: 1, 2: 2, 3: 2}
         for b, cover in res.witnesses[0].per_fold:
@@ -603,7 +603,7 @@ class TestPerfectE:
         )
         res = shrink_perfect_e(E, T)
         assert 0 not in tree_restrict(res.tree_out, Block(1, 5)).values
-        assert certify_request(res.witnesses[0].request).passed
+        assert certify_request(res.witnesses[0]).passed
 
     def test_density_audit(self):
         E = e_fixture()
@@ -630,14 +630,14 @@ class TestSplittingE:
     def test_certificate_and_exhaustive(self):
         E = e_fixture()
         res = build_splitting_e(E)
-        assert certify_request(res.witnesses[0].request).passed
+        assert certify_request(res.witnesses[0]).passed
         for b, cover in res.witnesses[0].per_fold:
             assert exhaustive_containment(E, res.tree_out, b, cover)
 
     def test_tampered_witness_fails(self):
         E = e_fixture()
         res = build_splitting_e(E)
-        req = res.witnesses[0].request
+        req = res.witnesses[0]
         clipped = []
         for b, cover in req.per_fold:
             # drop one pattern from the first block of each fold's cover
@@ -719,7 +719,7 @@ class TestFoldsArgument:
         F, T = small_fixture()
         res = shrink_silver_small(F, T, folds=(0, 2))
         assert [b for b, _ in res.witnesses[0].per_fold] == [0, 2]
-        assert certify_request(res.witnesses[0].request).passed
+        assert certify_request(res.witnesses[0]).passed
 
 
 class TestRandomizedInvariants:
@@ -745,7 +745,7 @@ class TestRandomizedInvariants:
             )
             T = SilverTree(Point(horizon, rng.randrange(2**horizon)), free)
             res = shrink_silver_small(F, T)
-            assert certify_request(res.witnesses[0].request).passed
+            assert certify_request(res.witnesses[0]).passed
             assert is_subtree(res.tree_as_prefix(), silver_to_prefix(T))
             rows = density_audit_table(res.witnesses[0])
             assert all(r.passed for r in rows)

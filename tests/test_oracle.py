@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treesum.oracle as oracle_mod
-from treesum.bits import Block, Partition, PatternSet, Point, pattern_sum
+from treesum.bits import (
+    Block,
+    Partition,
+    PatternSet,
+    Point,
+    block_product,
+    pattern_sum,
+)
 from treesum.covers import (
     BlockCheck,
     CertificateRequest,
@@ -264,12 +271,15 @@ class TestNfold:
 
 def blockwise_request(src, T, witness, thresholds):
     """A request checking every fold in `thresholds` against an E cover
-    with the witness patterns, from that fold's threshold on."""
+    with the witness patterns, from that fold's threshold on; the source is
+    an E cover with patterns `src`, one source block per witness block."""
+    source = ECover(Partition(tuple(J.block for J in src)), src, 0)
     P = Partition(tuple(w.block for w in witness))
     per_fold = tuple(
         (b, ECover(P, witness, thr)) for b, thr in thresholds.items()
     )
-    return CertificateRequest("blockwise", P, src, T, per_fold)
+    ranges = tuple((n, n + 1) for n in range(len(P)))
+    return CertificateRequest("blockwise", source, ranges, T, per_fold)
 
 
 class TestBlockwiseCertify:
@@ -319,9 +329,12 @@ class TestBlockwiseCertify:
         )
         with pytest.raises(ValueError):
             blockwise_request(src, T, skew, {0: 0})
+        on = ECover(P, src, 0)
         off = ECover(Partition(tuple(w.block for w in skew)), skew, 0)
         with pytest.raises(ValueError, match="off the request partition"):
-            CertificateRequest("skew", P, src, T, ((0, off),))
+            CertificateRequest(
+                "skew", on, ((0, 1), (1, 2)), T, ((0, on), (1, off))
+            )
         with pytest.raises(ValueError, match="past the tree horizon"):
             blockwise_request(src, PrefixTree.full(3), src, {0: 0})
 
@@ -356,7 +369,7 @@ class TestCertifyRequest:
         full = tuple(PatternSet.full(b) for b in P.blocks)
         T = PrefixTree.full(2)
         req = CertificateRequest(
-            "demo", P, src, T,
+            "demo", ECover(P, src, 0), ((0, 1), (1, 2)), T,
             ((0, ECover(P, full, 0)), (2, ECover(P, full, 1))),
         )
         cert = certify_request(req)
@@ -367,11 +380,43 @@ class TestCertifyRequest:
         assert cert.thresholds == ((0, 0), (2, 1))
         assert cert.label == "demo"
 
+    def test_rejects_untiled_ranges_and_a_foreign_witness(self):
+        fine = Partition.from_lengths([1, 1, 1])
+        source = MeagerCover(Point.zero(3), fine, 0)
+        P = Partition.from_lengths([2, 1])
+        witness = MeagerCover(Point.zero(3), P, 0)
+        T = PrefixTree.full(3)
+        req = CertificateRequest("ok", source, ((0, 2), (2, 3)), T, ((0, witness),))
+        assert req.partition == P and req.point_source is source
+        for ranges in (
+            ((0, 1), (1, 3)), ((0, 2),), ((0, 2), (2, 4)), ((0, 2), (2, 2)),
+        ):
+            with pytest.raises(ValueError, match="do not tile"):
+                CertificateRequest("bad", source, ranges, T, ((0, witness),))
+        foreign = ECover(P, tuple(PatternSet.full(b) for b in P.blocks), 0)
+        with pytest.raises(ValueError, match="not of the source's type"):
+            CertificateRequest(
+                "bad", source, ((0, 2), (2, 3)), T, ((0, witness), (1, foreign))
+            )
+
+
+def source_product(source, lo: int, hi: int) -> PatternSet:
+    """The source's words on its fine blocks lo..hi-1, materialized: every
+    word below its threshold, past it a meager cover's allowed words or
+    the listed patterns."""
+    return block_product([
+        PatternSet.full(source.partition[j]) if j < getattr(source, "threshold", 0)
+        else source.allowed(j) if isinstance(source, MeagerCover)
+        else source.patterns[j]
+        for j in range(lo, hi)
+    ])
+
 
 def certify_by_targets(req: CertificateRequest) -> tuple[BlockCheck, ...]:
-    """The checks of `req` with every fold's targets materialized, a meager
-    block as all words but its forbidden one, each tested by `is_subset`:
-    the reference for the cover checks of `certify_request`."""
+    """The checks of `req` with the source and every fold's targets
+    materialized, a meager block as all words but its forbidden one, each
+    tested by `is_subset`: the reference for the cover checks of
+    `certify_request`."""
     checks = []
     for b, cover in req.per_fold:
         targets = [
@@ -383,54 +428,73 @@ def certify_by_targets(req: CertificateRequest) -> tuple[BlockCheck, ...]:
             tree_patterns = pattern_nfold(
                 tree_restrict(req.tree, req.partition[n]), b
             )
-            shifted = pattern_sum(req.source[n], tree_patterns)
+            shifted = pattern_sum(source_product(req.source, *req.ranges[n]),
+                                  tree_patterns)
             checks.append(BlockCheck(b, n, shifted.is_subset(targets[n])))
     return tuple(checks)
 
 
 @st.composite
 def witness_requests(draw):
-    """A request at a horizon up to 10 with one cover type, meager, E or
-    small, and per fold a random threshold.  Each block is drawn either to
-    contain the fold image (meager: centred off it) or at random, so checks
-    both pass and fail."""
+    """A request at a horizon up to 10 whose source and fold covers share
+    one type, meager, E or small, each with a random threshold.  Witness
+    blocks group random runs of the source's fine blocks, and may drop
+    trailing ones.  Each witness block is drawn either to contain the fold
+    image (meager: centred off it) or at random, so checks both pass and
+    fail."""
     horizon = draw(st.integers(1, 10))
-    P = Partition.from_lengths(_lengths(draw, horizon))
+    fine = Partition.from_lengths(_lengths(draw, horizon))
     leaves = draw(
         st.frozensets(st.integers(0, (1 << horizon) - 1), min_size=1, max_size=12)
     )
     T = PrefixTree(horizon, leaves)
-    source = tuple(
-        PatternSet(blk, draw(st.frozensets(st.integers(0, blk.mask), min_size=1)))
-        for blk in P.blocks
-    )
     kind = draw(st.sampled_from((MeagerCover, ECover, SmallCover)))
+    threshold = draw(st.integers(0, len(fine)))
+    if kind is MeagerCover:
+        centre = Point(horizon, draw(st.integers(0, (1 << horizon) - 1)))
+        source = MeagerCover(centre, fine, threshold)
+    else:
+        patterns = tuple(
+            PatternSet(blk, draw(st.frozensets(st.integers(0, blk.mask), min_size=1)))
+            for blk in fine.blocks
+        )
+        source = (
+            ECover(fine, patterns, threshold) if kind is ECover
+            else SmallCover(fine, patterns)
+        )
+    ranges, lo = [], 0
+    while lo < len(fine) and (not ranges or draw(st.booleans())):
+        hi = draw(st.integers(lo + 1, len(fine)))
+        ranges.append((lo, hi))
+        lo = hi
+    P = Partition(tuple(Block(fine[lo].lo, fine[hi - 1].hi) for lo, hi in ranges))
     folds = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)
     per_fold = []
     for b in draw(folds):
         centre, patterns = 0, []
-        for n, blk in enumerate(P.blocks):
+        for blk, (lo, hi) in zip(P.blocks, ranges):
             words = frozenset(range(1 << blk.length))
             if draw(st.booleans()):
                 kept = pattern_sum(
-                    source[n], pattern_nfold(tree_restrict(T, blk), b)
+                    source_product(source, lo, hi),
+                    pattern_nfold(tree_restrict(T, blk), b),
                 ).values
                 centres = words - kept or words
             else:
                 kept = draw(st.frozensets(st.sampled_from(sorted(words))))
                 centres = words
             word = draw(st.sampled_from(sorted(centres)))
-            centre |= word << (horizon - blk.hi)
+            centre |= word << (P.horizon - blk.hi)
             patterns.append(PatternSet(blk, kept))
         threshold = draw(st.integers(0, len(P)))
         if kind is MeagerCover:
-            cover = MeagerCover(Point(horizon, centre), P, threshold)
+            cover = MeagerCover(Point(P.horizon, centre), P, threshold)
         elif kind is ECover:
             cover = ECover(P, tuple(patterns), threshold)
         else:
             cover = SmallCover(P, tuple(patterns))
         per_fold.append((b, cover))
-    return CertificateRequest("random", P, source, T, tuple(per_fold))
+    return CertificateRequest("random", source, tuple(ranges), T, tuple(per_fold))
 
 
 def _failed(cert) -> set[tuple[int, int]]:

@@ -381,12 +381,11 @@ class TestRunning:
 
         def lowered(*args):
             result = shrink(*args)
-            bundle = result.witnesses[0]
+            req = result.witnesses[0]
             per_fold = tuple(
-                (b, replace(cover, threshold=0)) for b, cover in bundle.per_fold
+                (b, replace(cover, threshold=0)) for b, cover in req.per_fold
             )
-            request = replace(bundle.request, per_fold=per_fold)
-            return replace(result, witnesses=(replace(bundle, request=request),))
+            return replace(result, witnesses=(replace(req, per_fold=per_fold),))
 
         monkeypatch.setattr(scenario_mod, "shrink_silver_meager", lowered)
         report = run(scn, flags)
