@@ -497,11 +497,12 @@ def shrink_perfect_small(
     tree_out = _prune_split_budget(T, allowance, uniform)
     warnings = _perfect_warning(tree_out)
 
+    branches = [tree_restrict(tree_out, blk) for blk in P.blocks]
     per_fold = []
     for b in folds:
         pats = tuple(
-            pattern_sum(F.patterns[n], pattern_nfold(tree_restrict(tree_out, blk), b))
-            for n, blk in enumerate(P.blocks)
+            pattern_sum(J, pattern_nfold(R, b))
+            for J, R in zip(F.patterns, branches)
         )
         per_fold.append((b, SmallCover(P, pats)))
 

@@ -87,11 +87,13 @@ def certify_request(
     each tree pattern r, x + r matches the source centre on some source
     block at or past the source threshold; an E or small block when the
     shifted product of the source's admitted words lies in its patterns."""
-    source, checks, products = req.source, [], {}
+    source, checks, branches, products = req.source, [], {}, {}
     for b, cover in req.per_fold:
         for n in range(getattr(cover, "threshold", 0), len(req.partition)):
             blk = req.partition[n]
-            tree_patterns = pattern_nfold(tree_restrict(req.tree, blk), b, budget)
+            if n not in branches:
+                branches[n] = tree_restrict(req.tree, blk)
+            tree_patterns = pattern_nfold(branches[n], b, budget)
             lo, hi = req.ranges[n]
             if isinstance(cover, MeagerCover):
                 x = restrict(cover.xF, blk).value ^ restrict(source.xF, blk).value
@@ -133,8 +135,12 @@ class Counterexample:
 
 
 def _block_bits(cover: PointCover, n: int) -> int:
-    """Admitted values on block n as a 2^length-bit set."""
-    return _to_bitset(admitted(cover, n).values, cover.partition[n].length)
+    """Admitted values on block n as a 2^length-bit set; a meager block at
+    or past its threshold is the full set less its forbidden word."""
+    blk = cover.partition[n]
+    if isinstance(cover, MeagerCover) and n >= cover.threshold:
+        return ((1 << (1 << blk.length)) - 1) ^ (1 << restrict(cover.xF, blk).value)
+    return _to_bitset(admitted(cover, n).values, blk.length)
 
 
 def _point_set(cover: PointCover, width: int) -> int:
@@ -182,21 +188,22 @@ def _point_set(cover: PointCover, width: int) -> int:
 def exhaustive_counterexample(
     source_cover: PointCover,
     T: PrefixTree,
-    b: int,
-    witness_cover: PointCover,
+    per_fold: tuple[tuple[int, PointCover], ...],
     cap: int = DEFAULT_HORIZON_CAP,
     budget: int = DEFAULT_BUDGET,
-) -> Counterexample | None:
-    """Test every point of source + b-fold branch sums for witness
-    membership, on 2^H-bit point sets over the witness horizon H.
+) -> dict[int, Counterexample | None]:
+    """For each (b, witness) pair, test every point of source + b-fold
+    branch sums for witness membership, on 2^H-bit point sets over the
+    witness horizon H, and map b to its least escape or None.
 
     Small covers are rejected: they have no point test.  Witness covers
     on a shorter horizon see the sums truncated, matching the blockwise
-    convention for dropped trailing blocks.  Besides the fold sums, the
-    work is charged (|sums| + 2) passes over ceil(2^H / 64) words, before
-    any set is built.
+    convention for dropped trailing blocks.  Fold by fold, the fold sums
+    and (|sums| + 2) passes over ceil(2^H / 64) words are charged before
+    any set is built; then the source set is built once per horizon and
+    each distinct witness's set once.
     """
-    for cover in (source_cover, witness_cover):
+    for cover in (source_cover, *(c for _, c in per_fold)):
         if not isinstance(cover, (MeagerCover, ECover)):
             raise ValueError(
                 f"{type(cover).__name__} admits no point-membership test"
@@ -205,36 +212,41 @@ def exhaustive_counterexample(
         raise ValueError(f"horizon {T.horizon} exceeds cap {cap}")
     if source_cover.horizon != T.horizon:
         raise ValueError("source cover horizon differs from tree horizon")
-    if witness_cover.horizon > T.horizon:
+    if any(c.horizon > T.horizon for _, c in per_fold):
         raise ValueError("witness cover reaches past the tree horizon")
-    if b < 0:
+    if any(b < 0 for b, _ in per_fold):
         raise ValueError("fold count must be at least 0")
 
-    H = witness_cover.horizon
-    drop = T.horizon - H
-    if b == 0:
-        sums = [0]
-    else:
-        sums = sorted({v >> drop for v in nfold_body_sum(T, b, budget).values})
-    cost = (len(sums) + 2) * -(-(1 << H) // 64)
-    if cost > budget:
-        raise BudgetExceeded(f"exhaustive budget {budget} exceeded ({cost} words)")
+    sums = {}
+    for b, cover in per_fold:
+        drop = T.horizon - cover.horizon
+        words = [0] if b == 0 else nfold_body_sum(T, b, budget).values
+        sums[b] = sorted({v >> drop for v in words})
+        cost = (len(sums[b]) + 2) * -(-(1 << cover.horizon) // 64)
+        if cost > budget:
+            raise BudgetExceeded(f"exhaustive budget {budget} exceeded ({cost} words)")
 
-    members = _point_set(source_cover, H)
-    reach = _translate_union(
-        sums, 0, len(sums), 0, H - 1, members, _swap_masks(H)
-    )
-    escaped = reach & ~_point_set(witness_cover, H)
-    if not escaped:
-        return None
-    q = (escaped & -escaped).bit_length() - 1
-    t = next(t for t in sums if members >> (q ^ t) & 1)
-    point = Point(H, q)
-    block = next(
-        blk for n, blk in enumerate(witness_cover.partition)
-        if not _block_bits(witness_cover, n) >> restrict(point, blk).value & 1
-    )
-    return Counterexample(point, Point(H, t), block)
+    witnesses = dict.fromkeys(cover for _, cover in per_fold)
+    members = {H: _point_set(source_cover, H) for H in {c.horizon for c in witnesses}}
+    admits = {cover: _point_set(cover, cover.horizon) for cover in witnesses}
+    found = dict.fromkeys(b for b, _ in per_fold)
+    for b, cover in per_fold:
+        H = cover.horizon
+        reach = _translate_union(
+            sums[b], 0, len(sums[b]), 0, H - 1, members[H], _swap_masks(H)
+        )
+        escaped = reach & ~admits[cover]
+        if not escaped:
+            continue
+        q = (escaped & -escaped).bit_length() - 1
+        t = next(t for t in sums[b] if members[H] >> (q ^ t) & 1)
+        point = Point(H, q)
+        block = next(
+            blk for n, blk in enumerate(cover.partition)
+            if not _block_bits(cover, n) >> restrict(point, blk).value & 1
+        )
+        found[b] = Counterexample(point, Point(H, t), block)
+    return found
 
 
 def exhaustive_containment(
@@ -246,10 +258,10 @@ def exhaustive_containment(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Whether every point of source + b-fold branch sums lies in the
-    witness; see `exhaustive_counterexample`."""
+    witness; one fold of `exhaustive_counterexample`."""
     return exhaustive_counterexample(
-        source_cover, T, b, witness_cover, cap, budget
-    ) is None
+        source_cover, T, ((b, witness_cover),), cap, budget
+    )[b] is None
 
 
 @dataclass(frozen=True)

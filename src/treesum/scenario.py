@@ -52,7 +52,6 @@ from .oracle import (
     BudgetExceeded,
     certify_request,
     density_audit_table,
-    exhaustive_containment,
     exhaustive_counterexample,
     pattern_nfold,
 )
@@ -612,25 +611,16 @@ def _witness_entries(witnesses, tamper, flags):
             and not tampered
         ):
             try:
-                ex = {
-                    str(b): exhaustive_containment(
-                        source, tree, b, cover, cap=flags.horizon_cap
-                    )
-                    for b, cover in request_obj.per_fold
-                }
+                found = exhaustive_counterexample(
+                    source, tree, request_obj.per_fold, cap=flags.horizon_cap
+                )
             except BudgetExceeded as err:
                 entry["exhaustive_error"] = f"oracle budget exceeded: {err}"
                 request_pass = False
             else:
-                entry["exhaustive"] = ex
-                request_pass = request_pass and all(ex.values())
-                failed = {
-                    b: exhaustive_counterexample(
-                        source, tree, b, cover, cap=flags.horizon_cap
-                    )
-                    for b, cover in request_obj.per_fold
-                    if not ex[str(b)]
-                }
+                entry["exhaustive"] = {str(b): c is None for b, c in found.items()}
+                failed = {b: c for b, c in found.items() if c is not None}
+                request_pass = request_pass and not failed
                 if failed:
                     entry["exhaustive_counterexamples"] = {
                         str(b): {

@@ -569,10 +569,12 @@ class TestExhaustive:
         P = Partition.from_lengths([2, 2])
         C = MeagerCover(Point.zero(4), P, 0)
         T = PrefixTree.from_leaves(["0011"])
-        assert exhaustive_counterexample(C, T, 1, C) == Counterexample(
-            Point.from_bits("0100"), Point.from_bits("0011"), Block(2, 4)
-        )
-        assert exhaustive_counterexample(C, T, 0, C) is None
+        assert exhaustive_counterexample(C, T, ((1, C), (0, C))) == {
+            1: Counterexample(
+                Point.from_bits("0100"), Point.from_bits("0011"), Block(2, 4)
+            ),
+            0: None,
+        }
 
     def test_budget_is_charged_before_any_point_set(self, monkeypatch):
         def refuse(*args):
@@ -585,6 +587,13 @@ class TestExhaustive:
             exhaustive_containment(
                 everything, PrefixTree.full(12), 1, everything, budget=1000
             )
+        # fold 0 alone fits the budget, fold 2 does not: neither fold's
+        # point sets may be built before fold 2 is charged
+        C = MeagerCover(Point.zero(12), P, 0)
+        T = PrefixTree.from_leaves(["000000000001", "000000000010"])
+        assert len(nfold_body_sum(T, 2)) == 2
+        with pytest.raises(BudgetExceeded, match="exhaustive budget 200"):
+            exhaustive_counterexample(C, T, ((0, C), (2, C)), budget=200)
 
     def test_budget_boundary(self):
         # b = 0 adds the single sum 0: three passes over 2^8 / 64 words
@@ -607,8 +616,8 @@ class TestExhaustive:
         wit = ECover(Pw, (PatternSet.full(Pw[0]), PatternSet.from_bits(Pw[1], ["0"])))
         assert exhaustive_containment(src, PrefixTree.from_leaves(["00001"]), 1, wit)
         assert exhaustive_counterexample(
-            src, PrefixTree.from_leaves(["00100"]), 1, wit
-        ) == Counterexample(Point.from_bits("001"), Point.from_bits("001"), Pw[1])
+            src, PrefixTree.from_leaves(["00100"]), ((1, wit),)
+        ) == {1: Counterexample(Point.from_bits("001"), Point.from_bits("001"), Pw[1])}
 
     def test_empty_dropped_block_empties_the_source(self):
         P = Partition.from_lengths([2, 2])
@@ -622,26 +631,33 @@ class TestExhaustive:
     def test_agrees_with_point_loop(self, data):
         horizon = data.draw(st.integers(1, 10))
         src = data.draw(point_covers(horizon))
-        wit = data.draw(point_covers(data.draw(st.integers(1, horizon))))
         leaves = data.draw(
             st.frozensets(st.integers(0, (1 << horizon) - 1), min_size=1, max_size=6)
         )
         T = PrefixTree(horizon, leaves)
-        b = data.draw(st.integers(0, 3))
-        escapes = escaping_points_direct(src, T, b, wit)
-        assert exhaustive_containment_direct(src, T, b, wit) == (not escapes)
-        assert exhaustive_containment(src, T, b, wit) == (not escapes)
-        found = exhaustive_counterexample(src, T, b, wit)
-        if not escapes:
-            assert found is None
-            return
-        q = min(escapes)
-        members, sums = _members_and_sums_direct(src, T, b, wit)
-        assert found == Counterexample(
-            Point(wit.horizon, q),
-            Point(wit.horizon, min(t for t in sums if q ^ t in members)),
-            _first_missed_block(wit, q),
+        folds = data.draw(
+            st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)
         )
+        per_fold = tuple(
+            (b, data.draw(point_covers(data.draw(st.integers(1, horizon)))))
+            for b in folds
+        )
+        found = exhaustive_counterexample(src, T, per_fold)
+        assert list(found) == folds
+        for b, wit in per_fold:
+            escapes = escaping_points_direct(src, T, b, wit)
+            assert exhaustive_containment_direct(src, T, b, wit) == (not escapes)
+            assert exhaustive_containment(src, T, b, wit) == (not escapes)
+            if not escapes:
+                assert found[b] is None
+                continue
+            q = min(escapes)
+            members, sums = _members_and_sums_direct(src, T, b, wit)
+            assert found[b] == Counterexample(
+                Point(wit.horizon, q),
+                Point(wit.horizon, min(t for t in sums if q ^ t in members)),
+                _first_missed_block(wit, q),
+            )
 
     def test_matches_pointwise_definition(self):
         rng = random.Random(61)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import treesum.scenario as scenario_mod
@@ -40,13 +41,21 @@ def test_tracer_binds_every_traced_name_and_restores_it():
     try:
         for name, owner, attr in targets:
             assert vars(owner)[attr] is not originals[name], name
-        report = scenario_mod.run(scenario_mod.load_bundled("silver-meager"))
-        assert report.passed
+        scn = scenario_mod.load_bundled("silver-meager")
+        assert scenario_mod.run(scn).passed
+        # only a tamper reads a meager cover's allowed words
+        tamper = scenario_mod.Tamper("meager", 1, 0)
+        tampered = replace(
+            scn, requests=tuple(replace(r, tamper=tamper) for r in scn.requests)
+        )
+        report = scenario_mod.run(tampered)
         rows = tracer_mod.aggregate(tracer.take())
     finally:
         tracer.uninstall()
     for name, owner, attr in targets:
         assert vars(owner)[attr] is originals[name], name
+    cert = report.data["requests"][0]["witnesses"][0]["certificate"]
+    assert cert["failed_blocks"] == [[1, 0]]
     for name in ("oracle.nfold_body_sum", "oracle.pattern_nfold",
-                 "oracle.exhaustive_containment", "covers.allowed"):
+                 "oracle.certify_request", "covers.allowed"):
         assert rows[name]["calls"] > 0, name

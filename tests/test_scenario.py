@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import treesum.constructions as constructions_mod
+import treesum.oracle as oracle_mod
 import treesum.scenario as scenario_mod
 from treesum.cli import EXIT_INPUT, main
 from treesum.bits import Block, Point, restrict
@@ -19,7 +20,7 @@ from treesum.covers import (
     SmallCover,
     meager_member,
 )
-from treesum.oracle import BudgetExceeded, certify_request
+from treesum.oracle import BudgetExceeded
 from treesum.scenario import (
     RunFlags,
     ScenarioError,
@@ -411,29 +412,38 @@ class TestRunning:
         assert render_report(report) == render_report(run(scn, flags))
 
     def test_certificates_never_materialize_meager_targets(self, monkeypatch):
-        # a meager block is checked against its one forbidden word; the
-        # complement `allowed` is 2^L - 1 words and must never be built
-        replays = []
-
-        def record(req, *args):
-            cert = certify_request(req, *args)
-            replays.append((req, cert))
-            return cert
-
-        monkeypatch.setattr(scenario_mod, "certify_request", record)
-        for name in bundled_scenario_names():
-            run(load_bundled(name), RunFlags(deterministic=True))
-
+        # a meager block is checked against its one forbidden word, by the
+        # certificate and the exhaustive oracle alike; the complement
+        # `allowed` is 2^L - 1 words and must never be built
         def refuse(self, n):
             raise AssertionError("meager target words materialized")
 
         monkeypatch.setattr(MeagerCover, "allowed", refuse)
-        assert any(
-            isinstance(cover, MeagerCover)
-            for req, _ in replays for _, cover in req.per_fold
-        )
-        for req, cert in replays:
-            assert certify_request(req) == cert
+        exhausted = set()
+        for name in bundled_scenario_names():
+            report = run(load_bundled(name), RunFlags(deterministic=True))
+            assert report.passed, name
+            exhausted |= {
+                w["kind"] for r in report.data["requests"]
+                for w in r.get("witnesses", ()) if "exhaustive" in w
+            }
+        assert "meager" in exhausted
+
+    def test_each_point_set_is_built_once(self, monkeypatch):
+        # one exhaustive pass per request: the source once per horizon and
+        # each distinct witness once, however many folds share them
+        built = []
+        point_set = oracle_mod._point_set
+
+        def record(cover, width):
+            built.append((cover, width))
+            return point_set(cover, width)
+
+        monkeypatch.setattr(oracle_mod, "_point_set", record)
+        report = run(load_bundled("silver-meager"), RunFlags(deterministic=True))
+        assert report.passed
+        assert len(built) == 3
+        assert len(set(built)) == 3
 
     def test_request_folds_override_flags(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
