@@ -231,6 +231,9 @@ class CertificateRequest:
     def __post_init__(self):
         if not self.per_fold:
             raise ValueError("request has no folds")
+        folds = [fold for fold, _ in self.per_fold]
+        if len(set(folds)) != len(folds):
+            raise ValueError(f"repeated fold count in {folds}")
         for fold, cover in self.per_fold:
             if type(cover) is not type(self.source):
                 raise ValueError(f"fold {fold} cover is not of the source's type")

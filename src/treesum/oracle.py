@@ -52,21 +52,45 @@ def pattern_nfold(
 ) -> PatternSet:
     """n-fold XOR sumset of a pattern set; the empty sum is {zero}.
 
-    From J on, each of the n - 1 sums is charged |acc|·|J| pairs against
-    the budget.
+    From J on, each of the n - 1 folds is charged |acc|·|J| pairs against
+    the budget.  With j0 in J, J^(k) = k·j0 + (J + j0)^(k), and the right
+    term grows until it fills span(J + j0).  So once |acc| is 2^rank(J + j0)
+    the next fold is acc + j0, a translate that needs no sum.
     """
     if n < 0:
         raise ValueError("fold count must be at least 0")
     if n == 0:
         return PatternSet(J.block, frozenset({0}))
-    acc = J
-    spent = 0
+    acc, spent, rank = J, 0, None
     for _ in range(n - 1):
         spent += len(acc) * len(J)
         if spent > budget:
             raise BudgetExceeded(f"fold sum budget {budget} exceeded")
+        size = len(acc)
+        if size and not size & (size - 1):
+            j0 = next(iter(J.values))
+            if rank is None:
+                rank = _rank(J.values, j0)
+            if size == 1 << rank:
+                acc = PatternSet(J.block, frozenset(v ^ j0 for v in acc.values))
+                continue
         acc = pattern_sum(acc, J)
     return acc
+
+
+def _rank(values: frozenset[int], j0: int) -> int:
+    """GF(2) rank of {v + j0 : v in values}.  Each elimination step folds
+    the set onto the words that lack its pivot's leading bit."""
+    rest = {v ^ j0 for v in values}
+    rest.discard(0)
+    rank = 0
+    while rest:
+        pivot = max(rest)
+        top = 1 << (pivot.bit_length() - 1)
+        rest = {v ^ pivot if v & top else v for v in rest}
+        rest.discard(0)
+        rank += 1
+    return rank
 
 
 def nfold_body_sum(

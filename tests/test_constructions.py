@@ -704,7 +704,7 @@ class TestFoldUnion:
         ) as spy:
             got = pattern_nfold(with_zero, up_to)
         assert got == PatternSet(J.block, frozenset(want))
-        assert spy.call_count == max(up_to - 1, 0)
+        assert spy.call_count <= max(up_to - 1, 0)
 
 
 class TestFoldsArgument:

@@ -4,9 +4,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import treesum.oracle as oracle_mod
@@ -28,6 +29,7 @@ from treesum.covers import (
     meager_member,
 )
 from treesum.oracle import (
+    DEFAULT_BUDGET,
     AuditRow,
     BudgetExceeded,
     Counterexample,
@@ -67,6 +69,44 @@ def nfold_body_sum_direct(T: PrefixTree, n: int) -> PatternSet:
             v ^= words[i].value
         out.add(v)
     return PatternSet(Block(0, T.horizon), frozenset(out))
+
+
+def plain_nfold(J: PatternSet, n: int, budget: int) -> PatternSet:
+    """The n-fold loop without the span rule: n - 1 sums, each charged
+    |acc|·|J| pairs, the reference for `pattern_nfold`."""
+    if n == 0:
+        return PatternSet(J.block, frozenset({0}))
+    acc, spent = J, 0
+    for _ in range(n - 1):
+        spent += len(acc) * len(J)
+        if spent > budget:
+            raise BudgetExceeded(f"fold sum budget {budget} exceeded")
+        acc = pattern_sum(acc, J)
+    return acc
+
+
+@st.composite
+def cosets(draw, extra: bool = False, max_length: int = 7) -> PatternSet:
+    """x + span(gens) on a block of up to `max_length` bits; with `extra`,
+    plus one word off the coset."""
+    blk = Block(0, draw(st.integers(1, max_length)))
+    words = st.integers(0, blk.mask)
+    span = {0}
+    for g in draw(st.lists(words, max_size=blk.length)):
+        span |= {s ^ g for s in span}
+    x = draw(words)
+    coset = {s ^ x for s in span}
+    if extra:
+        off = sorted(set(range(1 << blk.length)) - coset)
+        if off:
+            coset.add(draw(st.sampled_from(off)))
+    return PatternSet(blk, frozenset(coset))
+
+
+@st.composite
+def random_pattern_sets(draw, max_length: int = 7) -> PatternSet:
+    blk = Block(0, draw(st.integers(1, max_length)))
+    return PatternSet(blk, draw(st.frozensets(st.integers(0, blk.mask))))
 
 
 def _admissible(cover, n: int) -> frozenset[int]:
@@ -268,6 +308,52 @@ class TestNfold:
                             )
                 assert pattern_nfold(J, n).values == direct
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        J=st.one_of(
+            cosets(), cosets(extra=True), random_pattern_sets(),
+            st.integers(1, 7).map(lambda L: PatternSet.empty(Block(0, L))),
+        ),
+        n=st.integers(0, 8),
+        budget=st.one_of(st.integers(0, 3000), st.just(1 << 30)),
+    )
+    def test_span_rule_changes_no_result(self, J, n, budget):
+        # the same set as n - 1 sums, or BudgetExceeded with the same message
+        def outcome(fold):
+            try:
+                return fold(J, n, budget)
+            except BudgetExceeded as exc:
+                return str(exc)
+
+        assert outcome(pattern_nfold) == outcome(plain_nfold)
+        if n >= J.block.length:
+            # the span is filled by fold L, so the folds repeat with period 2
+            assert pattern_nfold(J, n + 2) == pattern_nfold(J, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(J=cosets())
+    def test_a_coset_takes_no_sum(self, J):
+        with mock.patch.object(
+            oracle_mod, "pattern_sum", wraps=oracle_mod.pattern_sum
+        ) as spy:
+            for n in range(9):
+                pattern_nfold(J, n)
+        assert spy.call_count == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(J=cosets(extra=True), n=st.integers(3, 8))
+    def test_a_filled_two_fold_takes_one_sum(self, J, n):
+        # a coset plus one word off it: J^(2) is a coset of span(J + j0)
+        # for j0 in J, so only the first fold sums
+        two = plain_nfold(J, 2, DEFAULT_BUDGET)
+        assume(len(two) > len(J))
+        with mock.patch.object(
+            oracle_mod, "pattern_sum", wraps=oracle_mod.pattern_sum
+        ) as spy:
+            got = pattern_nfold(J, n)
+        assert got == plain_nfold(J, n, DEFAULT_BUDGET)
+        assert spy.call_count == 1
+
 
 def blockwise_request(src, T, witness, thresholds):
     """A request checking every fold in `thresholds` against an E cover
@@ -397,6 +483,19 @@ class TestCertifyRequest:
         with pytest.raises(ValueError, match="not of the source's type"):
             CertificateRequest(
                 "bad", source, ((0, 2), (2, 3)), T, ((0, witness), (1, foreign))
+            )
+
+    def test_rejects_a_repeated_fold_count(self):
+        # cover_for would see only the first cover, and the certificate's
+        # thresholds would merge the two folds into one report key
+        fine = Partition.from_lengths([1, 1])
+        source = MeagerCover(Point.zero(2), fine, 0)
+        bad = MeagerCover(Point.from_bits("11"), fine, 0)
+        T = PrefixTree.full(2)
+        with pytest.raises(ValueError, match=r"repeated fold count in \[1, 0, 1\]"):
+            CertificateRequest(
+                "twice", source, ((0, 1), (1, 2)), T,
+                ((1, bad), (0, source), (1, source)),
             )
 
 
