@@ -285,10 +285,7 @@ def pattern_sum(J: PatternSet, K: PatternSet) -> PatternSet:
     length = J.block.length
     if length <= _MAX_FULL_LENGTH and len(J) * len(K) > 1 << length:
         small, large = sorted((J.values, K.values), key=len)
-        bits = _translate_union(
-            sorted(small), 0, len(small), 0, length - 1,
-            _to_bitset(large, length), _swap_masks(length),
-        )
+        bits = _sum_bits(sorted(small), _to_bitset(large, length), length)
         return PatternSet(J.block, _from_bitset(bits, length))
     return PatternSet(J.block, frozenset(u ^ v for u in J.values for v in K.values))
 
@@ -347,6 +344,43 @@ def _translate_union(
         upper = _translate_union(words, mid, hi, base + half, top - 1, bits, masks)
         out |= _translate(upper, half, masks)
     return out
+
+
+def _basis(values: Iterable[int], v0: int) -> list[int]:
+    """Echelon basis of span{v + v0 : v in values}, by GF(2) elimination:
+    each step takes the largest word left as a pivot and folds the set onto
+    the words that lack the pivot's leading bit."""
+    rest = {v ^ v0 for v in values}
+    rest.discard(0)
+    basis = []
+    while rest:
+        pivot = max(rest)
+        top = 1 << (pivot.bit_length() - 1)
+        rest = {v ^ pivot if v & top else v for v in rest}
+        rest.discard(0)
+        basis.append(pivot)
+    return basis
+
+
+def _sum_bits(words: list[int], bits: int, length: int) -> int:
+    """OR of the translates of the 2^length-bit set `bits` by the sorted
+    `words`; empty `words` give the empty union.
+
+    When the 2^k words have rank k over words[0] they are the coset
+    words[0] + span(basis), so closing `bits` under each basis vector and
+    translating once by words[0] takes k + 1 translates, not one per word.
+    """
+    if not words:
+        return 0
+    masks = _swap_masks(length)
+    n = len(words)
+    if not n & (n - 1):
+        basis = _basis(words, words[0])
+        if 1 << len(basis) == n:
+            for v in basis:
+                bits |= _translate(bits, v, masks)
+            return _translate(bits, words[0], masks)
+    return _translate_union(words, 0, n, 0, length - 1, bits, masks)
 
 
 def _to_bitset(values: frozenset[int], length: int) -> int:

@@ -17,10 +17,10 @@ from .bits import (
     Block,
     PatternSet,
     Point,
+    _basis,
     _from_bitset,
-    _swap_masks,
+    _sum_bits,
     _to_bitset,
-    _translate_union,
     block_product,
     pattern_sum,
     restrict,
@@ -70,27 +70,12 @@ def pattern_nfold(
         if size and not size & (size - 1):
             j0 = next(iter(J.values))
             if rank is None:
-                rank = _rank(J.values, j0)
+                rank = len(_basis(J.values, j0))
             if size == 1 << rank:
                 acc = PatternSet(J.block, frozenset(v ^ j0 for v in acc.values))
                 continue
         acc = pattern_sum(acc, J)
     return acc
-
-
-def _rank(values: frozenset[int], j0: int) -> int:
-    """GF(2) rank of {v + j0 : v in values}.  Each elimination step folds
-    the set onto the words that lack its pivot's leading bit."""
-    rest = {v ^ j0 for v in values}
-    rest.discard(0)
-    rank = 0
-    while rest:
-        pivot = max(rest)
-        top = 1 << (pivot.bit_length() - 1)
-        rest = {v ^ pivot if v & top else v for v in rest}
-        rest.discard(0)
-        rank += 1
-    return rank
 
 
 def nfold_body_sum(
@@ -225,7 +210,9 @@ def exhaustive_counterexample(
     convention for dropped trailing blocks.  Fold by fold, the fold sums
     and (|sums| + 2) passes over ceil(2^H / 64) words are charged before
     any set is built; then the source set is built once per horizon and
-    each distinct witness's set once.
+    each distinct witness's set once.  Sums that form a coset are closed
+    over its basis, so the charge is then an upper bound.  A repeated fold
+    count is rejected: the result keeps one entry per fold.
     """
     for cover in (source_cover, *(c for _, c in per_fold)):
         if not isinstance(cover, (MeagerCover, ECover)):
@@ -240,6 +227,9 @@ def exhaustive_counterexample(
         raise ValueError("witness cover reaches past the tree horizon")
     if any(b < 0 for b, _ in per_fold):
         raise ValueError("fold count must be at least 0")
+    folds = [b for b, _ in per_fold]
+    if len(set(folds)) != len(folds):
+        raise ValueError(f"repeated fold count in {folds}")
 
     sums = {}
     for b, cover in per_fold:
@@ -256,9 +246,7 @@ def exhaustive_counterexample(
     found = dict.fromkeys(b for b, _ in per_fold)
     for b, cover in per_fold:
         H = cover.horizon
-        reach = _translate_union(
-            sums[b], 0, len(sums[b]), 0, H - 1, members[H], _swap_masks(H)
-        )
+        reach = _sum_bits(sums[b], members[H], H)
         escaped = reach & ~admits[cover]
         if not escaped:
             continue

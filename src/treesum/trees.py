@@ -60,18 +60,10 @@ def silver_to_prefix(T: SilverTree, depth: int | None = None) -> PrefixTree:
         depth = T.horizon
     if not (1 <= depth <= T.horizon):
         raise ValueError(f"depth {depth} must lie in [1, {T.horizon}]")
-    base = T.x.truncate(depth).value
-    for i in T.free:
-        if i < depth:
-            base &= ~(1 << (depth - 1 - i))
-    free_positions = sorted(depth - 1 - i for i in T.free if i < depth)
-    leaves = []
-    for mask_bits in range(1 << len(free_positions)):
-        v = base
-        for j, pos in enumerate(free_positions):
-            if (mask_bits >> j) & 1:
-                v |= 1 << pos
-        leaves.append(v)
+    free_bits = [1 << (depth - 1 - i) for i in T.free if i < depth]
+    leaves = [T.x.truncate(depth).value & ~sum(free_bits)]
+    for bit in free_bits:
+        leaves += [v | bit for v in leaves]
     return PrefixTree(depth, frozenset(leaves))
 
 

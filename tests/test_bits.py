@@ -328,9 +328,9 @@ class TestPatternSumKernel:
         # the bitset path runs exactly when |J|·|K| > 2^L; both sides agree
         # with the comprehension
         calls = []
-        kernel = bits._translate_union
+        kernel = bits._sum_bits
         monkeypatch.setattr(
-            bits, "_translate_union",
+            bits, "_sum_bits",
             lambda *args: calls.append(1) or kernel(*args),
         )
         rng = random.Random(length)
@@ -346,3 +346,118 @@ class TestPatternSumKernel:
             assert got.values == {u ^ v for u in J.values for v in K.values}
             took_bitset.append(bool(calls))
         assert took_bitset == [False, True]
+
+
+def coset_words(rng: random.Random, length: int, rank: int) -> set[int]:
+    """x + span(g_1..g_rank) with independent generators, on `length` bits."""
+    size, span = 1 << length, {0}
+    while len(span) < 1 << rank:
+        g = rng.randrange(size)
+        if g not in span:
+            span |= {s ^ g for s in span}
+    x = rng.randrange(size)
+    return {s ^ x for s in span}
+
+
+@st.composite
+def sum_bits_operands(draw) -> tuple[list[int], frozenset[int], int]:
+    """(sorted words, translated set, L) for L <= 10.  A "pow2" draw
+    swaps one word of a rank >= 2 coset for a word off it: 2^k words that
+    are not a coset, since 2^k - 1 of them already generate the coset."""
+    length = draw(st.integers(1, 10))
+    size = 1 << length
+    kind = draw(st.sampled_from(["empty", "coset", "coset+1", "pow2", "random"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "empty":
+        words = set()
+    elif kind == "random":
+        words = set(rng.sample(range(size), rng.randint(1, size)))
+    elif kind == "pow2" and length < 3:
+        words = set(rng.sample(range(size), 1 << (length - 1)))
+    else:
+        low = 2 if kind == "pow2" else 0
+        high = length - 1 if kind == "pow2" else length
+        words = coset_words(rng, length, draw(st.integers(low, high)))
+        off = sorted(set(range(size)) - words)
+        if kind != "coset" and off:
+            if kind == "pow2":
+                words.remove(rng.choice(sorted(words)))
+            words.add(rng.choice(off))
+    members = frozenset(rng.sample(range(size), rng.randint(0, min(size, 64))))
+    return sorted(words), members, length
+
+
+def brute_rank(values: set[int], v0: int) -> int:
+    span = {0}
+    for v in values:
+        if v ^ v0 not in span:
+            span |= {s ^ v ^ v0 for s in span}
+    return len(span).bit_length() - 1
+
+
+class TestSumBits:
+    """The coset closure in bits._sum_bits against the pair comprehension,
+    and the elimination in bits._basis against a brute-force span."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sum_bits_operands())
+    def test_matches_pair_comprehension(self, operands):
+        words, members, length = operands
+        want = {u ^ v for u in words for v in members}
+        got = bits._sum_bits(words, bits._to_bitset(members, length), length)
+        assert got == bits._to_bitset(want, length)
+
+    def test_empty_words_give_the_empty_union(self):
+        assert bits._sum_bits([], bits._to_bitset({1, 2}, 2), 2) == 0
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_a_coset_takes_rank_plus_one_translates(self, length, monkeypatch):
+        translates, unions = [], []
+        translate, union = bits._translate, bits._translate_union
+        monkeypatch.setattr(
+            bits, "_translate", lambda *a: translates.append(1) or translate(*a)
+        )
+        monkeypatch.setattr(
+            bits, "_translate_union", lambda *a: unions.append(1) or union(*a)
+        )
+        rng = random.Random(length)
+        members = bits._to_bitset({0, (1 << length) - 1}, length)
+        for rank in range(length + 1):
+            words = sorted(coset_words(rng, length, rank))
+            translates.clear()
+            got = bits._sum_bits(words, members, length)
+            assert got == bits._to_bitset(
+                {w ^ m for w in words for m in (0, (1 << length) - 1)}, length
+            )
+            assert (len(translates), unions) == (rank + 1, [])
+
+    def test_a_non_coset_takes_the_translate_union(self, monkeypatch):
+        # the basis is sought only for 2^k words
+        unions, bases = [], []
+        union, basis = bits._translate_union, bits._basis
+        monkeypatch.setattr(
+            bits, "_translate_union", lambda *a: unions.append(1) or union(*a)
+        )
+        monkeypatch.setattr(bits, "_basis", lambda *a: bases.append(1) or basis(*a))
+        for words, sought in (([0, 1, 2, 4], [1]), ([0, 1, 2], [])):
+            unions.clear()
+            bases.clear()
+            assert bits._sum_bits(words, 1, 3) == bits._to_bitset(set(words), 3)
+            assert unions and bases == sought
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.sets(st.integers(0, (1 << n) - 1)), st.integers(0, (1 << n) - 1)
+        )
+    ))
+    def test_basis_is_an_echelon_basis_of_the_span(self, drawn):
+        values, v0 = drawn
+        basis = bits._basis(values, v0)
+        assert len(basis) == brute_rank(values, v0)
+        leads = [v.bit_length() for v in basis]
+        assert leads == sorted(set(leads), reverse=True)
+        span = {0}
+        for v in basis:
+            span |= {s ^ v for s in span}
+        assert {v ^ v0 for v in values} <= span

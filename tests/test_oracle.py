@@ -675,6 +675,21 @@ class TestExhaustive:
             0: None,
         }
 
+    def test_rejects_a_repeated_fold_count(self):
+        # each witness alone gives a different answer, so one entry per
+        # fold count would hide one of them
+        P = Partition.from_lengths([2, 2])
+        bad = MeagerCover(Point.zero(4), P, 0)
+        good = MeagerCover(Point.zero(4), P, 2)
+        T = PrefixTree.full(4)
+        assert exhaustive_counterexample(bad, T, ((1, bad),))[1] is not None
+        assert exhaustive_counterexample(bad, T, ((1, good),))[1] is None
+        for per_fold in (((1, bad), (1, good)), ((1, good), (1, bad))):
+            with pytest.raises(
+                ValueError, match=r"repeated fold count in \[1, 1\]"
+            ):
+                exhaustive_counterexample(bad, T, per_fold)
+
     def test_budget_is_charged_before_any_point_set(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("point set built before the budget check")

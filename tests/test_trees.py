@@ -100,6 +100,24 @@ class TestSilverTree:
         assert S.canonical() == T.canonical()
 
 
+def ref_silver_leaves(T: SilverTree, depth: int) -> frozenset[int]:
+    """One leaf per subset of the free coordinates below `depth`, each set
+    bit by bit over the base with those coordinates cleared."""
+    base = T.x.truncate(depth).value
+    for i in T.free:
+        if i < depth:
+            base &= ~(1 << (depth - 1 - i))
+    free_positions = sorted(depth - 1 - i for i in T.free if i < depth)
+    leaves = []
+    for mask_bits in range(1 << len(free_positions)):
+        v = base
+        for j, pos in enumerate(free_positions):
+            if (mask_bits >> j) & 1:
+                v |= 1 << pos
+        leaves.append(v)
+    return frozenset(leaves)
+
+
 class TestSilverToPrefix:
     def test_frozen_example(self):
         T = SilverTree(Point.from_bits("0000"), frozenset({1, 3}))
@@ -127,6 +145,18 @@ class TestSilverToPrefix:
             for depth in (max(1, h // 2), h):
                 P = silver_to_prefix(SilverTree(x, free), depth)
                 assert len(P) == 1 << len({i for i in free if i < depth})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda h: st.tuples(
+        st.integers(0, (1 << h) - 1), st.frozensets(st.integers(0, h - 1))
+    ).map(lambda t: (h, *t))))
+    def test_matches_the_double_loop(self, drawn):
+        # x keeps its bits on free coordinates, and every depth from 1 to
+        # H leaves some free coordinates at or past it
+        h, x, free = drawn
+        T = SilverTree(Point(h, x), free)
+        for depth in range(1, h + 1):
+            assert silver_to_prefix(T, depth).leaves == ref_silver_leaves(T, depth)
 
     def test_sum_body_law_exhaustive_small(self):
         # body of the parameter sum equals the XOR sumset of the bodies
