@@ -208,9 +208,12 @@ def _tuples_over(letters: list[str], max_len: int) -> list[tuple[str, ...]]:
 
 
 def _all_split_level(T: PrefixTree, lo: int) -> int:
-    """Least depth >= lo where every node splits: the level below doubles."""
-    for d in range(lo, T.horizon):
-        if len(T.levels[d + 1]) == 2 * len(T.levels[d]):
+    """Least depth >= lo where every node splits: its split count is its
+    node count, one plus the splits above it."""
+    splits = T.split_counts
+    nodes = itertools.accumulate(splits, initial=1)
+    for d, (s, n) in enumerate(zip(splits, nodes)):
+        if d >= lo and s == n:
             return d
     raise ValueError(
         f"no level at or past {lo} where every node splits; "
@@ -460,12 +463,7 @@ def _prune_split_budget(
 def _perfect_warning(pruned: PrefixTree) -> list[str]:
     if is_perfect(pruned):
         return []
-    # a level with a split is one the level below outgrows
-    levels = pruned.levels
-    deepest = max(
-        (d for d in range(pruned.horizon) if len(levels[d + 1]) != len(levels[d])),
-        default=-1,
-    )
+    deepest = max((d for d, s in enumerate(pruned.split_counts) if s), default=-1)
     return [
         f"split budget exhausts after depth {deepest}; "
         "pruned tree is not perfect at this horizon"

@@ -199,7 +199,10 @@ def _load_tree(name: str, spec, scn_points, scn_sets, horizon: int):
         except ValueError as err:
             raise ScenarioError(f"{where}: {err}") from None
     if kind == "full":
-        return PrefixTree.full(horizon)
+        try:
+            return PrefixTree.full(horizon)
+        except ValueError as err:
+            raise ScenarioError(f"{where}: {err}") from None
     if kind == "prefix":
         leaves = spec.get("leaves")
         if not isinstance(leaves, list):
@@ -210,7 +213,10 @@ def _load_tree(name: str, spec, scn_points, scn_sets, horizon: int):
                     f"{where}: horizon mismatch, leaf {s!r} has length "
                     f"{len(s)}, expected {horizon}"
                 )
-        return PrefixTree.from_leaves(leaves)
+        try:
+            return PrefixTree.from_leaves(leaves)
+        except ValueError as err:
+            raise ScenarioError(f"{where}: {err}") from None
     raise ScenarioError(f"{where}: unknown tree kind {kind!r}")
 
 

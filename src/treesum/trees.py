@@ -2,14 +2,20 @@
 
 A tree is stored by its horizon-length leaves; every node is a leaf prefix, so
 pruned-ness holds by construction.  Nodes of length d are packed ints like
-words: leaf >> (horizon - d) recovers the node a leaf passes through.
+words: leaf >> (horizon - d) recovers the node a leaf passes through.  Shape
+questions are answered from the sorted leaves and the depths at which
+adjacent ones part, both built at the first such question.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate
+from operator import and_, or_, xor
 from typing import Iterable, Iterator
 
 from treesum.bits import _MAX_FULL_LENGTH, Block, PatternSet, Point, Word, restrict
@@ -86,6 +92,8 @@ class PrefixTree:
 
     @classmethod
     def full(cls, horizon: int) -> "PrefixTree":
+        if horizon < 1:
+            raise ValueError("horizon must be positive")
         if horizon > _MAX_FULL_LENGTH:
             raise ValueError(f"refusing to materialize 2^{horizon} leaves")
         return cls(horizon, frozenset(range(1 << horizon)))
@@ -102,24 +110,52 @@ class PrefixTree:
         return cls(horizon, frozenset(Point.from_bits(s).value for s in ls))
 
     @cached_property
-    def levels(self) -> tuple[frozenset[int], ...]:
-        """levels[d] = packed values of the length-d nodes, built bottom-up:
-        each level holds the parents of the level below."""
-        out = [self.leaves]
-        for _ in range(self.horizon):
-            out.append(frozenset(v >> 1 for v in out[-1]))
-        return tuple(reversed(out))
+    def sorted_leaves(self) -> tuple[int, ...]:
+        """The leaves in increasing order: the leaves below a node are one
+        index range (see `span`)."""
+        return tuple(sorted(self.leaves))
+
+    @cached_property
+    def cuts(self) -> list[int]:
+        """cuts[i] = (S[i] ^ S[i+1]).bit_length() over the sorted leaves S.
+
+        Adjacent leaves part at depth horizon - cuts[i], at exactly one
+        splitting node, and each splitting node is met by exactly one
+        adjacent pair: the pair of its left child's last leaf and its right
+        child's first leaf."""
+        S = self.sorted_leaves
+        return list(map(int.bit_length, map(xor, S, S[1:])))
+
+    @cached_property
+    def split_counts(self) -> list[int]:
+        """split_counts[d] = splitting nodes at depth d < horizon, counted
+        off `cuts`; depth d then holds 1 + sum(split_counts[:d]) nodes."""
+        counts = Counter(self.cuts)
+        return [counts[self.horizon - d] for d in range(self.horizon)]
+
+    def span(self, depth: int, value: int) -> tuple[int, int]:
+        """Index range [lo, hi) of the sorted leaves below the length-`depth`
+        node `value`; empty iff the node is not in the tree."""
+        S, shift = self.sorted_leaves, self.horizon - depth
+        lo = bisect_left(S, value << shift)
+        return lo, bisect_left(S, (value + 1) << shift, lo)
 
     def contains_node(self, bits: str) -> bool:
         if bits == "":
             return True
         if any(c not in "01" for c in bits) or len(bits) > self.horizon:
             return False
-        return int(bits, 2) in self.levels[len(bits)]
+        lo, hi = self.span(len(bits), int(bits, 2))
+        return lo < hi
 
     def children(self, depth: int, value: int) -> tuple[int, ...]:
-        nxt = self.levels[depth + 1]
-        return tuple(c for c in ((value << 1) | 0, (value << 1) | 1) if c in nxt)
+        """Children of a node, read off its first and last leaf."""
+        lo, hi = self.span(depth, value)
+        if lo == hi:
+            return ()
+        S, shift = self.sorted_leaves, self.horizon - depth - 1
+        first, last = S[lo] >> shift, S[hi - 1] >> shift
+        return (first,) if first == last else (first, last)
 
     def __len__(self) -> int:
         return len(self.leaves)
@@ -128,7 +164,7 @@ class PrefixTree:
 def body(T: PrefixTree) -> tuple[Word, ...]:
     """Maximal nodes as words on [0, horizon), in canonical order."""
     block = Block(0, T.horizon)
-    return tuple(Word(block, v) for v in sorted(T.leaves))
+    return tuple(Word(block, v) for v in T.sorted_leaves)
 
 
 def tree_restrict(T: PrefixTree, b: Block) -> PatternSet:
@@ -157,16 +193,15 @@ class KindFlags:
 def is_perfect(T: PrefixTree) -> bool:
     """Whether every node at the deepest splitting level splits.
 
-    A node has one or two children, so depth d holds
-    len(levels[d+1]) - len(levels[d]) splitting nodes.  Scanning up from the
-    leaves, the first level with a split is the deepest one, and every node
-    there splits iff the level below is twice as large.  Every shallower node
-    has a descendant at that level, so this is classify's `perfect`.
+    No node splits below the deepest splitting level D, so the N leaves
+    are the nodes at D plus one per split there; every node at D splits iff
+    it holds N / 2 splits.  Every shallower node has a descendant at D, so
+    this is classify's `perfect`.
     """
-    levels = T.levels
+    splits = T.split_counts
     for d in range(T.horizon - 1, -1, -1):
-        if len(levels[d + 1]) != len(levels[d]):
-            return len(levels[d + 1]) == 2 * len(levels[d])
+        if splits[d]:
+            return 2 * splits[d] == len(T.leaves)
     return False
 
 
@@ -212,64 +247,64 @@ def classify(T: PrefixTree, split_allowance: int | None = None) -> KindFlags:
     nodes all reach a splitting extension before splits run out entirely
     counts as perfect, even though nodes past the last split trivially cannot
     split again before the horizon.  The perfect, uniform and Silver flags are
-    read off the level sizes (see `is_perfect`): a level where no node splits
-    keeps its size and one where every node splits doubles it; Silver further
-    needs one child bit across each level without splits.  The splitting flag
-    compares the worst per-stem threshold against an allowance (default
+    read off the per-depth split counts (see `is_perfect`): uniform needs no
+    node or every node of a level to split; Silver further needs all leaves
+    to agree on the child bit of each level without splits.  The splitting
+    flag compares the worst per-stem threshold against an allowance (default
     horizon // 2) and is the only part that visits every node with per-node
     masks; callers needing only perfection should call `is_perfect`.
     """
     if split_allowance is None:
         split_allowance = T.horizon // 2
-    steps = list(zip(T.levels, T.levels[1:]))
+    H, splits = T.horizon, T.split_counts
     perfect = is_perfect(T)
-    uniform = perfect and all(len(b) in (len(a), 2 * len(a)) for a, b in steps)
+    sizes = accumulate(splits, initial=1)
+    uniform = perfect and all(s in (0, n) for s, n in zip(splits, sizes))
+    # the coordinates on which every leaf agrees
+    agree = ~(reduce(or_, T.leaves) ^ reduce(and_, T.leaves))
     silver = uniform and all(
-        len(b) == 2 * len(a) or len({c & 1 for c in b}) == 1 for a, b in steps
+        s or agree >> (H - 1 - d) & 1 for d, s in enumerate(splits)
     )
     splitting = splitting_defect(T) <= split_allowance
     return KindFlags(perfect, uniform, silver, splitting)
+
+
+def _stem_span(T: PrefixTree, stem: str) -> tuple[int, int]:
+    if not T.contains_node(stem):
+        raise ValueError(f"stem {stem!r} not in tree")
+    return T.span(len(stem), int(stem, 2) if stem else 0)
 
 
 def first_splitting_node(T: PrefixTree, stem: str, min_length: int) -> str:
     """Shortest, then lexicographically least, splitting node extending the
     stem with length >= min_length.  Raises when no such node exists.
 
-    The stem's nodes at depth max(len(stem), min_length) are walked in
-    increasing order, each down its single-child chain to its first split;
-    a later node's chain is larger, so it only counts if it splits sooner."""
-    if not T.contains_node(stem):
-        raise ValueError(f"stem {stem!r} not in tree")
-    levels, H = T.levels, T.horizon
-    start = max(len(stem), min_length)
-    frontier = [int(stem, 2) if stem else 0] if start < H else []
-    for nxt in levels[len(stem) + 1:start + 1]:
-        frontier = [c for v in frontier for c in (v << 1, (v << 1) | 1) if c in nxt]
-    best = (H, 0)
-    for v in frontier:
-        d = start
-        while d < best[0]:
-            right = ((v << 1) | 1) in levels[d + 1]
-            if right and (v << 1) in levels[d + 1]:
-                best = (d, v)
-                break
-            v, d = (v << 1) | right, d + 1
-        if best[0] == start:
-            break
-    d, v = best
-    if d == H:
+    That node is met by the adjacent leaf pair under the stem with the
+    largest cut <= horizon - start, start = max(len(stem), min_length), the
+    least such pair on ties.  The stem's leaves are taken one depth-start
+    node at a time, in increasing order; within one, every cut is small
+    enough, and a cut of exactly horizon - start cannot be beaten."""
+    lo, hi = _stem_span(T, stem)
+    H, S, cuts = T.horizon, T.sorted_leaves, T.cuts
+    shift = H - max(len(stem), min_length)
+    best, at = 0, lo
+    while shift > 0 and lo < hi and best < shift:
+        end = bisect_left(S, ((S[lo] >> shift) + 1) << shift, lo, hi)
+        if end - lo > 1:
+            cut = max(cuts[lo:end - 1])
+            if cut > best:
+                best, at = cut, cuts.index(cut, lo, end - 1)
+        lo = end
+    if not best:
         raise ValueError(
             f"no splitting node of length >= {min_length} above {stem!r} "
             f"within horizon {H}"
         )
-    return format(v, f"0{d}b") if d else ""
+    d = H - best
+    return format(S[at] >> best, f"0{d}b") if d else ""
 
 
 def leftmost_leaf(T: PrefixTree, stem: str) -> str:
-    """Least leaf extending the stem: child 0 wherever it is present."""
-    if not T.contains_node(stem):
-        raise ValueError(f"stem {stem!r} not in tree")
-    v = int(stem, 2) if stem else 0
-    for d in range(len(stem) + 1, T.horizon + 1):
-        v = (v << 1) | ((v << 1) not in T.levels[d])
-    return format(v, f"0{T.horizon}b")
+    """Least leaf extending the stem: the first of its sorted leaves."""
+    lo, _ = _stem_span(T, stem)
+    return format(T.sorted_leaves[lo], f"0{T.horizon}b")

@@ -18,6 +18,44 @@ def golden(name: str) -> str:
     return str(SCENARIOS / f"{name}.json")
 
 
+def run_perfect_meager(tmp_path, horizon, lengths, splits, tamper=None, flags=()):
+    """`treesum run` on one shrink_perfect_meager request in a child process
+    under a 2 GB address-space limit, so a regression fails the test instead
+    of exhausting the host's memory.  The input tree has one leaf per subset
+    of `splits`, set to 1 there and 0 elsewhere: 32 leaves for 5 splits."""
+    resource = pytest.importorskip("resource")
+    leaves = [
+        "".join("1" if c in chosen else "0" for c in range(horizon))
+        for k in range(len(splits) + 1)
+        for chosen in itertools.combinations(splits, k)
+    ]
+    request = {"op": "shrink_perfect_meager", "cover": "F", "tree": "T"}
+    if tamper:
+        request["tamper"] = tamper
+    doc = {
+        "name": f"perfect-meager-{horizon}",
+        "horizon": horizon,
+        "partitions": {"fine": {"lengths": lengths}},
+        "points": {"xF": "01" * (horizon // 2)},
+        "trees": {"T": {"kind": "prefix", "leaves": leaves}},
+        "covers": {"F": {"kind": "meager", "x": "xF",
+                         "partition": "fine", "threshold": 0}},
+        "requests": [request],
+    }
+    path = tmp_path / "perfect-meager.json"
+    path.write_text(json.dumps(doc))
+    limit = 2 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "treesum", "run", "--deterministic", *flags,
+         str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SCENARIOS.parents[1])),
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (limit, limit)
+        ),
+    )
+
+
 class TestRunVerb:
     def test_pass_exits_zero_and_prints_report(self, capsys):
         code = main(["run", golden("silver-meager"), "--deterministic"])
@@ -127,52 +165,39 @@ class TestRunVerb:
         # the fine blocks reach super-block 2, 64 fine blocks wide;
         # certifying it must build neither the 2^64 - 1 words a meager
         # witness block admits nor the 3^16 words the horizon-88 source
-        # admits there, and neither may the tamper.  The child runs under a
-        # 2 GB address-space limit, so a regression fails here instead of
-        # exhausting the host's memory.
-        resource = pytest.importorskip("resource")
-        splits = (0, 20, 40, 60, horizon - 1)
-        leaves = [
-            "".join("1" if c in chosen else "0" for c in range(horizon))
-            for k in range(len(splits) + 1)
-            for chosen in itertools.combinations(splits, k)
-        ]
-        request = {"op": "shrink_perfect_meager", "cover": "F", "tree": "T"}
-        if tamper:
-            request["tamper"] = tamper
-        doc = {
-            "name": f"perfect-meager-{horizon}",
-            "horizon": horizon,
-            "partitions": {"fine": {"lengths": lengths}},
-            "points": {"xF": "01" * (horizon // 2)},
-            "trees": {"T": {"kind": "prefix", "leaves": leaves}},
-            "covers": {"F": {"kind": "meager", "x": "xF",
-                             "partition": "fine", "threshold": 0}},
-            "requests": [request],
-        }
-        path = tmp_path / "perfect-meager.json"
-        path.write_text(json.dumps(doc))
-        limit = 2 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "treesum", "run", "--deterministic",
-             str(path)],
-            env=dict(os.environ, PYTHONPATH=str(SCENARIOS.parents[1])),
-            capture_output=True, text=True, timeout=120,
-            preexec_fn=lambda: resource.setrlimit(
-                resource.RLIMIT_AS, (limit, limit)
-            ),
+        # admits there, and neither may the tamper.
+        proc = run_perfect_meager(
+            tmp_path, horizon, lengths, (0, 20, 40, 60, horizon - 1), tamper
         )
         assert proc.returncode == (EXIT_FAIL if failed else EXIT_PASS), proc.stderr
         report = json.loads(proc.stdout)
         entry = report["requests"][0]
         assert report["passed"] == (not failed)
-        assert len(leaves) == 32 and entry["tree"]["leaf_count"] == 8
+        assert entry["tree"]["leaf_count"] == 8
         assert entry["provenance"]["details"]["generations"] == "3"
         w = entry["witnesses"][0]
         assert w["certificate"]["passed"] == (not failed)
         assert w["certificate"]["failed_blocks"] == failed
         assert w["certificate"]["checks"] == 6
         assert "exhaustive" not in w
+
+    def test_generation_three_meager_certifies_at_horizon_4200(self, tmp_path):
+        # unit fine blocks fill super-blocks of 1, 4, 64 and 4096 fine
+        # blocks, so the hierarchy has 4 generations and the fold
+        # thresholds stop at 4; the leaves are 4200-bit ints
+        proc = run_perfect_meager(
+            tmp_path, 4200, [1] * 4200, (0, 20, 100, 4170, 4199),
+            flags=("--folds", "0..5"),
+        )
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        entry = json.loads(proc.stdout)["requests"][0]
+        assert entry["tree"]["leaf_count"] == 16
+        assert entry["provenance"]["details"]["generations"] == "4"
+        certificate = entry["witnesses"][0]["certificate"]
+        assert certificate["passed"] and certificate["checks"] == 10
+        assert certificate["thresholds"] == {
+            "0": 0, "1": 1, "2": 2, "3": 3, "4": 4, "5": 4
+        }
 
     def test_no_exhaustive_flag(self, capsys):
         code = main(["run", golden("silver-meager"), "--no-exhaustive",

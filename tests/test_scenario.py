@@ -168,6 +168,18 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="out of range"):
             load_scenario(write_scenario(tmp_path, doc))
 
+    @pytest.mark.parametrize("horizon, spec, message", [
+        (4, {"kind": "prefix", "leaves": []}, "tree 'T': no leaves given"),
+        (21, {"kind": "full"}, "tree 'T': refusing to materialize 2^21 leaves"),
+    ], ids=["prefix-no-leaves", "full-past-the-cap"])
+    def test_unbuildable_tree_is_a_named_error(self, horizon, spec, message):
+        doc = {"name": "tree", "horizon": horizon, "trees": {"T": spec},
+               "requests": [{"op": "shrink_perfect_meager", "cover": "F",
+                             "tree": "T"}]}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert str(exc.value) == message
+
     def test_empty_requests_rejected(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["requests"] = []
@@ -206,6 +218,12 @@ class TestLoading:
                                   "tree": "P", "uniform": "false"}),
         ), "request 1: uniform must be true or false, got 'false'",
             id="uniform-not-bool"),
+        pytest.param(lambda d: d["trees"].update(t={"kind": "prefix", "leaves": []}),
+                     "tree 't': no leaves given", id="prefix-tree-no-leaves"),
+        pytest.param(lambda d: d.update(
+            horizon=21, partitions={}, points={}, trees={"t": {"kind": "full"}},
+        ), "tree 't': refusing to materialize 2^21 leaves",
+            id="full-tree-too-wide"),
         pytest.param(lambda d: d.update(index_sets={"A": [1.5]}),
                      "index set 'A': expected a list of integer coordinates",
                      id="index-set-fraction"),

@@ -7,6 +7,8 @@ checked against plain string handling.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -188,10 +190,22 @@ class TestPrefixTree:
 
     def test_levels_and_children(self):
         T = PrefixTree.from_leaves(["00", "01", "11"])
-        assert T.levels[1] == {0, 1}
+        # 01 and 11 part at the root, 00 and 01 at node 0
+        assert T.sorted_leaves == (0, 1, 3)
+        assert T.cuts == [1, 2]
+        assert T.split_counts == [1, 1]
+        assert T.span(1, 0) == (0, 2) and T.span(1, 1) == (2, 3)
         assert T.children(0, 0) == (0, 1)
         assert T.children(1, 0) == (0, 1)
         assert T.children(1, 1) == (3,)
+
+    def test_full_checks_the_horizon_first(self):
+        for horizon in (-1, 0):
+            with pytest.raises(ValueError, match="horizon must be positive"):
+                PrefixTree.full(horizon)
+        with pytest.raises(ValueError, match="refusing to materialize 2"):
+            PrefixTree.full(21)
+        assert len(PrefixTree.full(1)) == 2
 
     def test_body_full(self):
         assert len(body(PrefixTree.full(3))) == 8
@@ -304,8 +318,14 @@ class TestSplittingDiagnostics:
         assert thresholds["00"] == 1  # a satisfied stem: defect 0 from length 2
 
 
-def ref_levels(T: PrefixTree) -> list[set[int]]:
-    return [{v >> (T.horizon - d) for v in T.leaves} for d in range(T.horizon + 1)]
+@lru_cache(maxsize=8)
+def ref_levels(T: PrefixTree) -> tuple[frozenset[int], ...]:
+    """The nodes of each depth, as shifted leaves (kept for the last few
+    trees, so the per-depth references below stay cheap on deep trees)."""
+    return tuple(
+        frozenset(v >> (T.horizon - d) for v in T.leaves)
+        for d in range(T.horizon + 1)
+    )
 
 
 def ref_flags(T: PrefixTree) -> tuple[bool, bool, bool]:
@@ -392,7 +412,22 @@ def silver_prefix_trees(draw):
     return silver_to_prefix(SilverTree(x, free), depth)
 
 
-any_tree = st.one_of(leveled_trees(), leaf_set_trees(), silver_prefix_trees())
+@st.composite
+def deep_sparse_trees(draw):
+    """1-40 leaves at horizons up to 300: each flips random bits of a base
+    leaf past a random depth, so splits spread over the whole horizon and
+    the nodes are wide ints."""
+    horizon = draw(st.integers(1, 300))
+    base = draw(st.integers(0, (1 << horizon) - 1))
+    rng = draw(st.randoms(use_true_random=False))
+    count = rng.randint(1, 40)
+    leaves = {base ^ rng.getrandbits(rng.randint(1, horizon)) for _ in range(count)}
+    return PrefixTree(horizon, frozenset(leaves))
+
+
+any_tree = st.one_of(
+    leveled_trees(), leaf_set_trees(), silver_prefix_trees(), deep_sparse_trees()
+)
 
 
 class TestKindsFromLevelSizes:
@@ -421,7 +456,20 @@ class TestKindsFromLevelSizes:
     @settings(max_examples=100, deadline=None)
     @given(any_tree)
     def test_levels_are_shifted_leaves(self, T):
-        assert [set(level) for level in T.levels] == ref_levels(T)
+        # each adjacent leaf pair parts at one splitting node, each splitting
+        # node once: the depths H - cut count the splits of every level
+        H, levels = T.horizon, ref_levels(T)
+        splits = [len(ref_splits_at(T, d)) for d in range(H)]
+        assert Counter(H - cut for cut in T.cuts) == Counter(
+            {d: n for d, n in enumerate(splits) if n}
+        )
+        assert T.split_counts == splits
+        for d in range(H):
+            assert 1 + sum(splits[:d]) == len(levels[d])
+            for v in levels[d]:
+                assert T.children(d, v) == tuple(
+                    c for c in (2 * v, 2 * v + 1) if c in levels[d + 1]
+                )
 
     @settings(max_examples=100, deadline=None)
     @given(silver_prefix_trees())
@@ -473,9 +521,10 @@ class TestStemHelpers:
 def ref_splits_at(T: PrefixTree, depth: int) -> frozenset[int]:
     if depth >= T.horizon:
         return frozenset()
-    nxt = T.levels[depth + 1]
+    levels = ref_levels(T)
+    nxt = levels[depth + 1]
     return frozenset(
-        v for v in T.levels[depth] if (v << 1) in nxt and ((v << 1) | 1) in nxt
+        v for v in levels[depth] if (v << 1) in nxt and ((v << 1) | 1) in nxt
     )
 
 
@@ -504,7 +553,7 @@ def ref_leftmost_leaf(T: PrefixTree, stem: str) -> str:
 
 def ref_all_split_level(T: PrefixTree, lo: int) -> int:
     for d in range(lo, T.horizon):
-        if T.levels[d] and ref_splits_at(T, d) == T.levels[d]:
+        if ref_splits_at(T, d) == ref_levels(T)[d]:
             return d
     raise ValueError(
         f"no level at or past {lo} where every node splits; "
@@ -563,7 +612,7 @@ def density_trees(draw):
     return PrefixTree(horizon, frozenset(leaves))
 
 
-walk_trees = st.one_of(density_trees(), any_tree)
+walk_trees = st.one_of(density_trees(), deep_sparse_trees(), any_tree)
 
 
 @st.composite
@@ -637,10 +686,13 @@ class GuardedLeaves(frozenset):
 
 
 class TestWalksReadLevelsOnly:
+    """The walks read the sorted view, built by the one pass over the
+    leaves, and never scan the leaf set again."""
+
     def guarded(self, leaves, horizon):
         leaves = GuardedLeaves(leaves)
         T = PrefixTree(horizon, leaves)
-        T.levels  # the one pass over the leaves, done before arming
+        T.sorted_leaves  # the one pass over the leaves, done before arming
         leaves.armed = True
         return T
 
