@@ -12,6 +12,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from .bits import (
     Block,
@@ -47,22 +49,19 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def pattern_nfold(
-    J: PatternSet, n: int, budget: int = DEFAULT_BUDGET
-) -> PatternSet:
-    """n-fold XOR sumset of a pattern set; the empty sum is {zero}.
+def _nfold_chain(J: PatternSet, budget: int) -> Iterator[PatternSet]:
+    """J^(1), J^(2), …: the k-fold XOR sumsets of a pattern set, one per
+    step, each fold from the one before.
 
-    From J on, each of the n - 1 folds is charged |acc|·|J| pairs against
-    the budget.  With j0 in J, J^(k) = k·j0 + (J + j0)^(k), and the right
-    term grows until it fills span(J + j0).  So once |acc| is 2^rank(J + j0)
-    the next fold is acc + j0, a translate that needs no sum.
+    Before fold k + 1 the chain charges |J^(k)|·|J| pairs, cumulatively,
+    against the budget.  With j0 in J, J^(k) = k·j0 + (J + j0)^(k), and the
+    right term grows until it fills span(J + j0).  So once |J^(k)| is
+    2^rank(J + j0) the next fold is J^(k) + j0, a translate that needs no
+    sum; the rank is found once, at the first power-of-two fold.
     """
-    if n < 0:
-        raise ValueError("fold count must be at least 0")
-    if n == 0:
-        return PatternSet(J.block, frozenset({0}))
     acc, spent, rank = J, 0, None
-    for _ in range(n - 1):
+    while True:
+        yield acc
         spent += len(acc) * len(J)
         if spent > budget:
             raise BudgetExceeded(f"fold sum budget {budget} exceeded")
@@ -75,7 +74,18 @@ def pattern_nfold(
                 acc = PatternSet(J.block, frozenset(v ^ j0 for v in acc.values))
                 continue
         acc = pattern_sum(acc, J)
-    return acc
+
+
+def pattern_nfold(
+    J: PatternSet, n: int, budget: int = DEFAULT_BUDGET
+) -> PatternSet:
+    """n-fold XOR sumset of a pattern set, fold n of `_nfold_chain`; the
+    empty sum is {zero}."""
+    if n < 0:
+        raise ValueError("fold count must be at least 0")
+    if n == 0:
+        return PatternSet(J.block, frozenset({0}))
+    return next(islice(_nfold_chain(J, budget), n - 1, None))
 
 
 def nfold_body_sum(
@@ -205,6 +215,11 @@ def exhaustive_counterexample(
     branch sums for witness membership, on 2^H-bit point sets over the
     witness horizon H, and map b to its least escape or None.
 
+    The whole-word branch set is taken once, and one n-fold chain over it
+    (see `_nfold_chain`) is extended in `per_fold` order only as far as
+    each fold needs, so every fold is summed once and each is charged what
+    `nfold_body_sum(T, b)` alone would charge.
+
     Small covers are rejected: they have no point test.  Witness covers
     on a shorter horizon see the sums truncated, matching the blockwise
     convention for dropped trailing blocks.  Fold by fold, the fold sums
@@ -231,11 +246,15 @@ def exhaustive_counterexample(
     if len(set(folds)) != len(folds):
         raise ValueError(f"repeated fold count in {folds}")
 
-    sums = {}
+    # made[k] is the k-fold sum set, from the empty sum {0} on
+    sums, chain, made = {}, None, [PatternSet(Block(0, T.horizon), frozenset({0}))]
     for b, cover in per_fold:
         drop = T.horizon - cover.horizon
-        words = [0] if b == 0 else nfold_body_sum(T, b, budget).values
-        sums[b] = sorted({v >> drop for v in words})
+        if b >= len(made) and chain is None:
+            chain = _nfold_chain(nfold_body_sum(T, 1, budget), budget)
+        while b >= len(made):
+            made.append(next(chain))
+        sums[b] = sorted({v >> drop for v in made[b].values})
         cost = (len(sums[b]) + 2) * -(-(1 << cover.horizon) // 64)
         if cost > budget:
             raise BudgetExceeded(f"exhaustive budget {budget} exceeded ({cost} words)")

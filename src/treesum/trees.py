@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
 from operator import and_, or_, xor
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from treesum.bits import _MAX_FULL_LENGTH, Block, PatternSet, Point, Word, restrict
 
@@ -96,7 +96,11 @@ class PrefixTree:
             raise ValueError("horizon must be positive")
         if horizon > _MAX_FULL_LENGTH:
             raise ValueError(f"refusing to materialize 2^{horizon} leaves")
-        return cls(horizon, frozenset(range(1 << horizon)))
+        # every leaf is in range by construction, so skip the per-leaf check
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "horizon", horizon)
+        object.__setattr__(tree, "leaves", frozenset(range(1 << horizon)))
+        return tree
 
     @classmethod
     def from_leaves(cls, leaves: Iterable[str]) -> "PrefixTree":
@@ -213,31 +217,34 @@ def splitting_defect(T: PrefixTree) -> int:
     achievable threshold is d - 1; the defect measures the excess of the
     actual per-stem threshold over that. 0 means splitting behavior starts
     immediately past every stem.
+
+    Read in one stack pass over the cuts, the Cartesian tree of the
+    splitting nodes.  The leaves below a node agree exactly on the zero bits
+    of the OR of their adjacent XORs S[i] ^ S[i+1]; with p the 1-based
+    position of its lowest zero bit, the stem's worst coordinate is H - p.
+    A chain of non-splitting nodes keeps one leaf range, so it is worst at
+    its top: the root, with defect H + 1 - p, or a child of a splitting node
+    with cut c, with defect c - p.
     """
-    return max(n for _, n in _defect_items(T))
-
-
-def _defect_items(T: PrefixTree) -> Iterator[tuple[tuple[int, int], int]]:
-    H = T.horizon
-    full = (1 << H) - 1
-    # node -> (OR of the leaves below it) << H | (OR of their complements),
-    # each level folded from the level below
-    masks = {v: v << H | ~v & full for v in T.leaves}
-    per_level = [masks]
-    for _ in range(H):
-        up: dict[int, int] = {}
-        for c, m in masks.items():
-            up[c >> 1] = up.get(c >> 1, 0) | m
-        masks = up
-        per_level.append(masks)
-    for d, masks in enumerate(reversed(per_level)):
-        # coordinate n >= d sits at bit H-1-n; the worst is the largest n not
-        # realized with both values, i.e. the lowest set bit of `missing`
-        window = (1 << (H - d)) - 1
-        for v, m in masks.items():
-            missing = ~(m >> H & m) & window
-            worst = H - (missing & -missing).bit_length() if missing else d - 1
-            yield (d, v), worst - (d - 1)
+    H, S = T.horizon, T.sorted_leaves
+    xs = list(map(xor, S, S[1:]))
+    # (cut, XOR, OR of its left subtree), cuts falling from a bottom that
+    # is never popped; a last cut of H + 1 pops every node
+    worst, stack = 0, [(H + 2, 0, 0)]
+    for c, x in zip(T.cuts + [H + 1], xs + [0]):
+        # pop the nodes with a cut below c: each one's right subtree is the
+        # OR gathered so far, and its worse child has the lower zero bit,
+        # which is the lowest zero bit of left & right
+        below = 0
+        while stack[-1][0] < c:
+            top, tx, left = stack.pop()
+            y = left & below
+            defect = top - ((y + 1) & ~y).bit_length()
+            if defect > worst:
+                worst = defect
+            below |= left | tx
+        stack.append((c, x, below))
+    return max(worst, H + 1 - ((below + 1) & ~below).bit_length())
 
 
 def classify(T: PrefixTree, split_allowance: int | None = None) -> KindFlags:
@@ -251,8 +258,8 @@ def classify(T: PrefixTree, split_allowance: int | None = None) -> KindFlags:
     node or every node of a level to split; Silver further needs all leaves
     to agree on the child bit of each level without splits.  The splitting
     flag compares the worst per-stem threshold against an allowance (default
-    horizon // 2) and is the only part that visits every node with per-node
-    masks; callers needing only perfection should call `is_perfect`.
+    horizon // 2), read in one pass over the cuts (see `splitting_defect`);
+    callers needing only perfection should call `is_perfect`.
     """
     if split_allowance is None:
         split_allowance = T.horizon // 2

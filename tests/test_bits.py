@@ -180,6 +180,15 @@ class TestPoint:
 
 
 class TestPatternSet:
+    def test_rejects_values_out_of_range(self):
+        block = Block(2, 5)
+        for values, bad in (({1, -1}, -1), ({0, 8}, 8)):
+            with pytest.raises(
+                ValueError, match=rf"^value {bad} out of range for block \[2,5\)"
+            ):
+                PatternSet(block, frozenset(values))
+        assert len(PatternSet(block, frozenset({0, 7}))) == 2
+
     def test_canonical_order(self):
         J = PatternSet.from_bits(Block(0, 3), ["110", "001", "100"])
         assert [w.bits() for w in J.words()] == ["001", "100", "110"]

@@ -651,15 +651,15 @@ class TestSplittingE:
 
 class TestPerfectPreconditions:
     def test_perfect_shrinks_never_run_the_full_classifier(self, monkeypatch):
-        # the precondition needs only is_perfect; classify and the per-node
-        # splitting defect would cost a pass with masks over every node
+        # the precondition needs only is_perfect; classify and the
+        # splitting defect would cost a pass over every cut
         def full_classifier(*args, **kwargs):
             raise AssertionError("full classifier called")
 
         monkeypatch.setattr(constructions_mod, "classify", full_classifier,
                             raising=False)
         monkeypatch.setattr(trees_mod, "classify", full_classifier)
-        monkeypatch.setattr(trees_mod, "_defect_items", full_classifier)
+        monkeypatch.setattr(trees_mod, "splitting_defect", full_classifier)
         T = PrefixTree.full(12)
         F, _ = meager_fixture()
         S, _ = small_fixture()

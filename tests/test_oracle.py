@@ -40,6 +40,7 @@ from treesum.oracle import (
     nfold_body_sum,
     pattern_nfold,
 )
+from treesum.constructions import build_splitting_e
 from treesum.scenario import Tamper, _apply_tamper
 from treesum.trees import (
     PrefixTree,
@@ -824,6 +825,136 @@ class TestExhaustive:
         assert not exhaustive_containment(
             src, PrefixTree.from_leaves(["0100"]), 1, wit
         )
+
+
+def exhaustive_per_fold(source_cover, T, per_fold, budget=DEFAULT_BUDGET):
+    """The exhaustive oracle with one `nfold_body_sum(T, b)` per fold: each
+    fold is charged, in `per_fold` order, before any point is tested, then
+    answered by the point loop.  The reference for the shared fold chain."""
+    for b, cover in per_fold:
+        drop = T.horizon - cover.horizon
+        words = [0] if b == 0 else nfold_body_sum(T, b, budget).values
+        cost = (len({v >> drop for v in words}) + 2) * -(-(1 << cover.horizon) // 64)
+        if cost > budget:
+            raise BudgetExceeded(f"exhaustive budget {budget} exceeded ({cost} words)")
+    found = {}
+    for b, wit in per_fold:
+        escapes = escaping_points_direct(source_cover, T, b, wit)
+        found[b] = None
+        if escapes:
+            q = min(escapes)
+            members, sums = _members_and_sums_direct(source_cover, T, b, wit)
+            found[b] = Counterexample(
+                Point(wit.horizon, q),
+                Point(wit.horizon, min(t for t in sums if q ^ t in members)),
+                _first_missed_block(wit, q),
+            )
+    return found
+
+
+@st.composite
+def chain_cases(draw, max_horizon: int = 8, max_leaves: int = 10):
+    """A source cover, a tree (any leaf set, or a Silver tree, whose folds
+    fill their span) and per-fold witnesses in any fold order."""
+    horizon = draw(st.integers(1, max_horizon))
+    src = draw(point_covers(horizon))
+    if draw(st.booleans()):
+        x = Point(horizon, draw(st.integers(0, (1 << horizon) - 1)))
+        free = draw(st.frozensets(st.integers(0, horizon - 1), max_size=3))
+        T = silver_to_prefix(SilverTree(x, free))
+    else:
+        T = PrefixTree(horizon, draw(st.frozensets(
+            st.integers(0, (1 << horizon) - 1), min_size=1, max_size=max_leaves
+        )))
+    folds = draw(st.permutations(range(4)))[:draw(st.integers(1, 4))]
+    per_fold = tuple(
+        (b, draw(point_covers(draw(st.integers(1, horizon))))) for b in folds
+    )
+    return src, T, per_fold
+
+
+def _reordered(per_fold, order):
+    by_fold = dict(per_fold)
+    return tuple((b, by_fold[b]) for b in order)
+
+
+class TestExhaustiveChain:
+    """One fold chain per call gives what one `nfold_body_sum` per fold gave:
+    the same entries, the same budget errors, fewer sums."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_cases())
+    def test_matches_one_sum_per_fold(self, case):
+        src, T, per_fold = case
+        assert exhaustive_counterexample(src, T, per_fold) == exhaustive_per_fold(
+            src, T, per_fold
+        )
+
+    def test_tampered_witnesses_in_any_fold_order(self):
+        E = ECover(Partition.from_lengths([2] * 6), tuple(
+            PatternSet.from_bits(Block(2 * i, 2 * i + 2), words)
+            for i, words in enumerate([["00", "11"], ["01", "10"], ["00", "01"],
+                                       ["10", "11"], ["00", "10"], ["01", "11"]])
+        ), 0)
+        req = build_splitting_e(E).witnesses[0]
+        source, T = req.point_source, req.tree
+        requests = [req] + [
+            _apply_tamper(req, Tamper(req.label, b, n))
+            for b, cover in req.per_fold
+            for n in range(cover.threshold, len(req.partition))
+        ]
+        seen_escape = False
+        for r in requests:
+            for order in ((3, 0, 1), (2, 3), (1, 0, 3, 2)):
+                per_fold = _reordered(r.per_fold, order)
+                got = exhaustive_counterexample(source, T, per_fold)
+                assert got == exhaustive_per_fold(source, T, per_fold)
+                seen_escape |= any(c is not None for c in got.values())
+        assert seen_escape
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain_cases(max_horizon=6, max_leaves=8))
+    def test_budget_errors_match_one_sum_per_fold(self, case):
+        # every budget below the first passing one raises the same error,
+        # fold sum or exhaustive, as one nfold_body_sum per fold did
+        src, T, per_fold = case
+        budget = 0
+        while True:
+            try:
+                want = exhaustive_per_fold(src, T, per_fold, budget)
+            except BudgetExceeded as err:
+                with pytest.raises(BudgetExceeded) as got:
+                    exhaustive_counterexample(src, T, per_fold, budget=budget)
+                assert str(got.value) == str(err)
+                budget += 1
+            else:
+                assert exhaustive_counterexample(
+                    src, T, per_fold, budget=budget
+                ) == want
+                return
+
+    @settings(max_examples=100, deadline=None)
+    @given(chain_cases())
+    def test_one_branch_set_and_one_sum_per_new_fold(self, case):
+        src, T, per_fold = case
+        block = Block(0, T.horizon)
+        top = max(b for b, _ in per_fold)
+        calls = {"nfold_body_sum": 0, "pattern_sum": 0}
+
+        def spy(name, fn, counts):
+            def wrapped(*args, **kwargs):
+                calls[name] += counts(*args)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        with mock.patch.object(oracle_mod, "nfold_body_sum", spy(
+            "nfold_body_sum", nfold_body_sum, lambda *a: 1
+        )), mock.patch.object(oracle_mod, "pattern_sum", spy(
+            "pattern_sum", pattern_sum, lambda J, K: J.block == block
+        )):
+            exhaustive_counterexample(src, T, per_fold)
+        assert calls["nfold_body_sum"] == (1 if top else 0)
+        assert calls["pattern_sum"] <= max(top - 1, 0)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import lru_cache
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,6 @@ from treesum.trees import (
     KindFlags,
     PrefixTree,
     SilverTree,
-    _defect_items,
     body,
     classify,
     first_splitting_node,
@@ -40,6 +40,31 @@ from treesum.trees import (
     splitting_defect,
     tree_restrict,
 )
+
+
+def _defect_items(T: PrefixTree) -> Iterator[tuple[tuple[int, int], int]]:
+    """Per node (d, v), its splitting defect, from per-node masks: the
+    per-node reference for `splitting_defect`, which reads only the cuts."""
+    H = T.horizon
+    full = (1 << H) - 1
+    # node -> (OR of the leaves below it) << H | (OR of their complements),
+    # each level folded from the level below
+    masks = {v: v << H | ~v & full for v in T.leaves}
+    per_level = [masks]
+    for _ in range(H):
+        up: dict[int, int] = {}
+        for c, m in masks.items():
+            up[c >> 1] = up.get(c >> 1, 0) | m
+        masks = up
+        per_level.append(masks)
+    for d, masks in enumerate(reversed(per_level)):
+        # coordinate n >= d sits at bit H-1-n; the worst is the largest n not
+        # realized with both values, i.e. the lowest set bit of `missing`
+        window = (1 << (H - d)) - 1
+        for v, m in masks.items():
+            missing = ~(m >> H & m) & window
+            worst = H - (missing & -missing).bit_length() if missing else d - 1
+            yield (d, v), worst - (d - 1)
 
 
 def splitting_thresholds(T: PrefixTree) -> dict[str, int]:
@@ -206,6 +231,21 @@ class TestPrefixTree:
         with pytest.raises(ValueError, match="refusing to materialize 2"):
             PrefixTree.full(21)
         assert len(PrefixTree.full(1)) == 2
+
+    def test_rejects_leaves_out_of_range(self):
+        for leaves, bad in (({1, -1}, -1), ({0, 8}, 8)):
+            with pytest.raises(
+                ValueError, match=f"^leaf {bad} out of range for horizon 3$"
+            ):
+                PrefixTree(3, frozenset(leaves))
+
+    def test_full_is_the_checked_range(self):
+        # full skips the per-leaf check; the tree is the one the check passes
+        for horizon in (1, 5, 12):
+            T = PrefixTree.full(horizon)
+            checked = PrefixTree(horizon, frozenset(range(1 << horizon)))
+            assert T == checked and hash(T) == hash(checked)
+            assert T.cuts == checked.cuts
 
     def test_body_full(self):
         assert len(body(PrefixTree.full(3))) == 8
@@ -451,6 +491,32 @@ class TestKindsFromLevelSizes:
         )
         assert classify(T).splitting_at_horizon == (
             splitting_defect(T) <= T.horizon // 2
+        )
+
+    @pytest.mark.parametrize("case", [
+        "random-1024-h14", "full-12", "silver-1024", "sparse-h300",
+    ])
+    def test_defect_on_large_trees(self, case):
+        # shapes past the drawn 40-leaf trees: the 1024-leaf horizon-14 E
+        # outputs of the splitting-folds benchmark, a full tree, a 2^10-leaf
+        # Silver tree and a sparse tree with wide nodes
+        rng = random.Random(case)
+        if case == "random-1024-h14":
+            T = PrefixTree(14, frozenset(rng.sample(range(1 << 14), 1024)))
+        elif case == "full-12":
+            T = PrefixTree.full(12)
+        elif case == "silver-1024":
+            free = frozenset(rng.sample(range(16), 10))
+            T = silver_to_prefix(SilverTree(Point(16, rng.getrandbits(16)), free))
+        else:
+            base = rng.getrandbits(300)
+            T = PrefixTree(300, frozenset(
+                base ^ rng.getrandbits(rng.randint(1, 300)) for _ in range(200)
+            ))
+        expected = ref_thresholds(T)
+        assert splitting_thresholds(T) == expected
+        assert splitting_defect(T) == max(
+            worst - (len(stem) - 1) for stem, worst in expected.items()
         )
 
     @settings(max_examples=100, deadline=None)
