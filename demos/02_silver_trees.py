@@ -6,18 +6,25 @@ coordinates, where both values occur.  The XOR sumset of two bodies is
 again a Silver body, and iterated sumsets collapse after two rounds.
 """
 
-from treesum import Point, SilverTree, body, nfold_body_sum, silver_sum, silver_to_prefix
+from treesum import Point, SilverTree, nfold_body_sum, silver_to_prefix
+
+
+def body(tree: SilverTree) -> str:
+    """The branches of a Silver tree as bit strings, in increasing order."""
+    P = silver_to_prefix(tree)
+    return ", ".join(format(v, f"0{P.horizon}b") for v in P.sorted_leaves)
+
 
 S = SilverTree(Point.from_bits("010011"), frozenset({1, 4}))
 T = SilverTree(Point.from_bits("110100"), frozenset({0, 4}))
 
-print("body of S:", ", ".join(str(w) for w in body(silver_to_prefix(S))))
-print("body of T:", ", ".join(str(w) for w in body(silver_to_prefix(T))))
+print("body of S:", body(S))
+print("body of T:", body(T))
 
 # the sumset law: XOR the base points, union the free sets
-U = silver_sum(S, T)
+U = SilverTree(S.x ^ T.x, S.free | T.free)
 print("S + T has base", U.x.bits(), "and free coordinates", sorted(U.free))
-print("body of S + T:", ", ".join(str(w) for w in body(silver_to_prefix(U))))
+print("body of S + T:", body(U))
 
 # collapse: fold sums of one body never leave the first two folds
 P = silver_to_prefix(S)

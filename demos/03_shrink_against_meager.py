@@ -29,7 +29,7 @@ for key, value in result.provenance.details:
     print(f"  {key} = {value}")
 
 request = result.witnesses[0]
-witness = request.cover_for(0)
+witness = dict(request.per_fold)[0]
 print("witness center:", witness.xF.bits(), "threshold", witness.threshold)
 
 # replay the stored checks, then cross-check with brute force

@@ -50,9 +50,6 @@ class Block:
     def __contains__(self, index: object) -> bool:
         return isinstance(index, int) and self.lo <= index < self.hi
 
-    def covers(self, other: "Block") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __str__(self) -> str:
         return f"[{self.lo},{self.hi})"
 
@@ -138,25 +135,8 @@ class Word:
             raise ValueError(f"word length {len(bits)} != block {block} length")
         return cls(block, _parse_bits(bits))
 
-    def bit(self, index: int) -> int:
-        """Bit at an absolute index inside the block."""
-        if index not in self.block:
-            raise ValueError(f"index {index} outside block {self.block}")
-        return (self.value >> (self.block.hi - 1 - index)) & 1
-
     def bits(self) -> str:
         return _render_bits(self.value, self.block.length)
-
-    def restrict(self, sub: Block) -> "Word":
-        if not self.block.covers(sub):
-            raise ValueError(f"block {sub} not inside {self.block}")
-        return Word(sub, (self.value >> (self.block.hi - sub.hi)) & sub.mask)
-
-    def __xor__(self, other: "Word") -> "Word":
-        """Coordinatewise mod-2 sum; both words must live on the same block."""
-        if self.block != other.block:
-            raise ValueError(f"blocks differ: {self.block} vs {other.block}")
-        return Word(self.block, self.value ^ other.value)
 
     def __str__(self) -> str:
         return self.bits()
@@ -259,11 +239,6 @@ class PatternSet:
         if isinstance(item, Word):
             return item.block == self.block and item.value in self.values
         return item in self.values
-
-    def is_subset(self, other: "PatternSet") -> bool:
-        if self.block != other.block:
-            raise ValueError("blocks differ")
-        return self.values <= other.values
 
     @property
     def density(self) -> Fraction:

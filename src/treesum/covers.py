@@ -3,8 +3,9 @@
 A cover pins down a set of points by per-block data over a partition:
 avoidance of a fixed point blockwise (meager), summable pattern densities
 (small, and unions of two smalls), or densities at most 1/2 (the simple
-regime).  Membership semantics follow the blockwise quantifiers; small
-covers deliberately have no point test, see the module notes in README.
+regime).  Membership follows the blockwise quantifiers, through the words
+a cover admits on each block (`admitted`); small covers deliberately have
+no point test, see `SmallCover`.
 """
 
 from __future__ import annotations
@@ -40,25 +41,11 @@ class MeagerCover:
     def horizon(self) -> int:
         return self.partition.horizon
 
-    def forbidden(self, n: int) -> PatternSet:
-        """Singleton pattern a member must avoid on block n."""
-        b = self.partition[n]
-        return PatternSet(b, frozenset({restrict(self.xF, b).value}))
-
     def allowed(self, n: int) -> PatternSet:
-        """Complement of the forbidden pattern on block n."""
+        """Every word on block n except the restriction of ``xF``."""
         b = self.partition[n]
         keep = frozenset(range(1 << b.length)) - {restrict(self.xF, b).value}
         return PatternSet(b, keep)
-
-
-def meager_member(C: MeagerCover, p: Point) -> bool:
-    if p.horizon != C.horizon:
-        raise ValueError(f"horizon {p.horizon} != cover horizon {C.horizon}")
-    return all(
-        restrict(p, b) != restrict(C.xF, b)
-        for b in C.partition.blocks[C.threshold:]
-    )
 
 
 def _check_blockwise(partition: Partition, patterns: tuple[PatternSet, ...]) -> None:
@@ -128,15 +115,6 @@ class ECover:
     @property
     def horizon(self) -> int:
         return self.partition.horizon
-
-
-def e_member(C: ECover, p: Point) -> bool:
-    if p.horizon != C.horizon:
-        raise ValueError(f"horizon {p.horizon} != cover horizon {C.horizon}")
-    return all(
-        restrict(p, C.partition[n]) in C.patterns[n]
-        for n in range(C.threshold, len(C.partition))
-    )
 
 
 def e_density_audit(C: ECover) -> tuple[Fraction, bool]:
@@ -267,12 +245,6 @@ class CertificateRequest:
     def uniform_witness(self) -> bool:
         """Whether one cover serves every fold."""
         return len({cover for _, cover in self.per_fold}) == 1
-
-    def cover_for(self, fold: int) -> Cover:
-        for f, cover in self.per_fold:
-            if f == fold:
-                return cover
-        raise ValueError(f"no witness for fold {fold}")
 
 
 @dataclass(frozen=True)

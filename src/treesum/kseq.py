@@ -22,10 +22,6 @@ class KSeq:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.a:
-            raise ValueError("empty sequence")
-        if any(x <= 0 for x in self.a):
-            raise ValueError("entries must be positive")
         if self.nj[0] != 0:
             raise ValueError("n_0 must be 0")
         if any(x > y for x, y in zip(self.k, self.k[1:])):

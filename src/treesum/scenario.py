@@ -181,7 +181,7 @@ def _section(raw: dict, key: str, kind: type):
 
 
 def _ref(table: dict, name, kind: str, where: str):
-    if name not in table:
+    if not isinstance(name, str) or name not in table:
         raise ScenarioError(f"{where}: unresolved {kind} reference {name!r}")
     return table[name]
 
@@ -365,7 +365,7 @@ def _load_request(i: int, spec, trees: dict, covers: dict) -> Request:
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where}: expected an object")
     op = spec.get("op")
-    if op not in _OPS:
+    if not isinstance(op, str) or op not in _OPS:
         raise ScenarioError(f"{where}: unknown operation name {op!r}")
     args = {}
     for arg in _OPS[op]:
@@ -526,10 +526,6 @@ def _apply_tamper(request_obj, tamper: Tamper):
     return replace(request_obj, per_fold=tuple(per_fold.items()))
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _tree_entry(result: ShrinkResult) -> dict:
     prefix = result.tree_as_prefix()
     flags = classify(prefix)
@@ -602,8 +598,8 @@ def _witness_entries(witnesses, tamper, flags):
                 {
                     "fold": r.fold,
                     "kind": r.kind,
-                    "value": _frac(r.value),
-                    "bound": _frac(r.bound),
+                    "value": str(r.value),
+                    "bound": str(r.bound),
                     "passed": r.passed,
                 }
                 for r in rows
@@ -659,7 +655,7 @@ def _run_request(i: int, req: Request, flags: RunFlags) -> tuple[dict, bool]:
             "blocks": [[b.lo, b.hi] for b in result.partition.blocks],
             "threshold": result.threshold,
             "pattern_counts": [len(J) for J in result.patterns],
-            "max_density": _frac(value),
+            "max_density": str(value),
             "audit_passed": ok,
         }
         passed = ok

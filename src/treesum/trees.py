@@ -18,7 +18,7 @@ from itertools import accumulate
 from operator import and_, or_, xor
 from typing import Iterable
 
-from treesum.bits import _MAX_FULL_LENGTH, Block, PatternSet, Point, Word, restrict
+from treesum.bits import _MAX_FULL_LENGTH, Block, PatternSet, Point
 
 log = logging.getLogger(__name__)
 
@@ -44,33 +44,15 @@ class SilverTree:
     def horizon(self) -> int:
         return self.x.horizon
 
-    def canonical(self) -> "SilverTree":
-        """Same tree with the irrelevant free-coordinate bits of x zeroed."""
-        value = self.x.value
-        for i in self.free:
-            value &= ~(1 << (self.horizon - 1 - i))
-        return SilverTree(Point(self.horizon, value), self.free)
 
-
-def silver_sum(T1: SilverTree, T2: SilverTree) -> SilverTree:
-    """Parameters of the sumset of two Silver bodies: XOR the base points,
-    union the free sets."""
-    if T1.horizon != T2.horizon:
-        raise ValueError("horizon mismatch")
-    return SilverTree(T1.x ^ T2.x, T1.free | T2.free)
-
-
-def silver_to_prefix(T: SilverTree, depth: int | None = None) -> PrefixTree:
-    """Materialize the Silver tree as an explicit prefix tree of the given depth."""
-    if depth is None:
-        depth = T.horizon
-    if not (1 <= depth <= T.horizon):
-        raise ValueError(f"depth {depth} must lie in [1, {T.horizon}]")
-    free_bits = [1 << (depth - 1 - i) for i in T.free if i < depth]
-    leaves = [T.x.truncate(depth).value & ~sum(free_bits)]
+def silver_to_prefix(T: SilverTree) -> PrefixTree:
+    """Materialize the Silver tree as an explicit prefix tree at its horizon."""
+    H = T.horizon
+    free_bits = [1 << (H - 1 - i) for i in T.free]
+    leaves = [T.x.value & ~sum(free_bits)]
     for bit in free_bits:
         leaves += [v | bit for v in leaves]
-    return PrefixTree(depth, frozenset(leaves))
+    return PrefixTree(H, frozenset(leaves))
 
 
 @dataclass(frozen=True)
@@ -165,12 +147,6 @@ class PrefixTree:
         return len(self.leaves)
 
 
-def body(T: PrefixTree) -> tuple[Word, ...]:
-    """Maximal nodes as words on [0, horizon), in canonical order."""
-    block = Block(0, T.horizon)
-    return tuple(Word(block, v) for v in T.sorted_leaves)
-
-
 def tree_restrict(T: PrefixTree, b: Block) -> PatternSet:
     """Restrictions of all leaves to a block."""
     if b.hi > T.horizon:
@@ -247,7 +223,7 @@ def splitting_defect(T: PrefixTree) -> int:
     return max(worst, H + 1 - ((below + 1) & ~below).bit_length())
 
 
-def classify(T: PrefixTree, split_allowance: int | None = None) -> KindFlags:
+def classify(T: PrefixTree) -> KindFlags:
     """Kind flags of a tree at its horizon.
 
     Perfection is judged relative to the deepest splitting level: a tree whose
@@ -257,12 +233,10 @@ def classify(T: PrefixTree, split_allowance: int | None = None) -> KindFlags:
     read off the per-depth split counts (see `is_perfect`): uniform needs no
     node or every node of a level to split; Silver further needs all leaves
     to agree on the child bit of each level without splits.  The splitting
-    flag compares the worst per-stem threshold against an allowance (default
-    horizon // 2), read in one pass over the cuts (see `splitting_defect`);
+    flag compares the worst per-stem threshold, read in one pass over the
+    cuts (see `splitting_defect`), against the fixed allowance horizon // 2;
     callers needing only perfection should call `is_perfect`.
     """
-    if split_allowance is None:
-        split_allowance = T.horizon // 2
     H, splits = T.horizon, T.split_counts
     perfect = is_perfect(T)
     sizes = accumulate(splits, initial=1)
@@ -272,7 +246,7 @@ def classify(T: PrefixTree, split_allowance: int | None = None) -> KindFlags:
     silver = uniform and all(
         s or agree >> (H - 1 - d) & 1 for d, s in enumerate(splits)
     )
-    splitting = splitting_defect(T) <= split_allowance
+    splitting = splitting_defect(T) <= H // 2
     return KindFlags(perfect, uniform, silver, splitting)
 
 

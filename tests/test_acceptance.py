@@ -21,7 +21,6 @@ from treesum.covers import (
     SmallCover,
     Stage,
     e_density_audit,
-    e_member,
 )
 from treesum.constructions import (
     shrink_silver_e,
@@ -38,9 +37,9 @@ from treesum.scenario import (
     parse_scenario,
     run,
 )
-from treesum.trees import PrefixTree, SilverTree, body, silver_sum, silver_to_prefix
+from treesum.trees import PrefixTree, SilverTree, silver_to_prefix
 
-from test_oracle import nfold_body_sum_direct
+from test_oracle import e_member, nfold_body_sum_direct
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "treesum" / "scenarios"
 
@@ -168,7 +167,7 @@ def test_criterion_2_silver_algebra():
     for x in range(8):
         for free in _free_sets(3, 3):
             S = SilverTree(Point(3, x), free)
-            leaves = {w.value for w in body(silver_to_prefix(S))}
+            leaves = set(silver_to_prefix(S).leaves)
             assert _body_ints(x, free, 3) == leaves
 
     # translation structure, exhaustive at horizon 2..4: the n-fold body
@@ -218,7 +217,7 @@ def test_criterion_2_silver_algebra():
             for x in xs
         ]
         for S, T in itertools.product(family, family):
-            merged = silver_sum(S, T)
+            merged = SilverTree(S.x ^ T.x, S.free | T.free)
             left = _body_ints(merged.x.value, merged.free, h)
             bs = _body_ints(S.x.value, S.free, h)
             bt = _body_ints(T.x.value, T.free, h)
@@ -227,7 +226,7 @@ def test_criterion_2_silver_algebra():
         h = rng.randint(5, 10)
         S = random_silver(rng, h)
         T = random_silver(rng, h)
-        merged = silver_sum(S, T)
+        merged = SilverTree(S.x ^ T.x, S.free | T.free)
         left = _body_ints(merged.x.value, merged.free, h)
         bs = _body_ints(S.x.value, S.free, h)
         bt = _body_ints(T.x.value, T.free, h)

@@ -50,10 +50,6 @@ class TestBlock:
         with pytest.raises(ValueError):
             Block(-1, 2)
 
-    def test_covers(self):
-        assert Block(0, 6).covers(Block(2, 4))
-        assert not Block(2, 4).covers(Block(0, 6))
-
 
 class TestPartition:
     def test_from_lengths(self):
@@ -90,7 +86,7 @@ class TestWord:
         for bits in s_all(6):
             w = Word.from_bits(bits, block)
             assert w.bits() == bits
-            assert [w.bit(i) for i in range(3, 9)] == [int(c) for c in bits]
+            assert w.value == int(bits, 2)
 
     def test_msb_first_packing(self):
         # leftmost written bit is the high bit of the packed value
@@ -117,23 +113,21 @@ class TestWord:
         assert sorted(shuffled) == words
 
     def test_xor_matches_string_model(self):
+        # two words add as the sum of their singleton pattern sets
         block = Block(1, 5)
         for a in s_all(4):
             for b in s_all(4):
-                got = Word.from_bits(a, block) ^ Word.from_bits(b, block)
-                assert got.bits() == s_xor(a, b)
+                got = pattern_sum(
+                    PatternSet.from_bits(block, [a]), PatternSet.from_bits(block, [b])
+                )
+                assert [w.bits() for w in got.words()] == [s_xor(a, b)]
 
     def test_xor_rejects_block_mismatch(self):
-        with pytest.raises(ValueError):
-            Word.from_bits("01", Block(0, 2)) ^ Word.from_bits("01", Block(2, 4))
-
-    def test_restrict_matches_slicing(self):
-        block = Block(2, 8)
-        for bits in ["010011", "111000", "101101"]:
-            w = Word.from_bits(bits, block)
-            for lo in range(2, 8):
-                for hi in range(lo + 1, 9):
-                    assert w.restrict(Block(lo, hi)).bits() == bits[lo - 2 : hi - 2]
+        with pytest.raises(ValueError, match="blocks differ"):
+            pattern_sum(
+                PatternSet.from_bits(Block(0, 2), ["01"]),
+                PatternSet.from_bits(Block(2, 4), ["01"]),
+            )
 
     def test_indicator(self):
         w = indicator_word(Block(2, 8), [3, 5, 11])
@@ -280,13 +274,17 @@ class TestPatternSet:
         block = Block(0, 4)
         sub = Block(1, 3)
         rng = random.Random(13)
+
+        def cut(v: int) -> int:
+            return restrict(Point(block.length, v), sub).value
+
         for _ in range(30):
             A = PatternSet.from_bits(block, rng.sample(s_all(4), 3))
             B = PatternSet.from_bits(block, rng.sample(s_all(4), 3))
-            lhs = {w.restrict(sub).value for w in pattern_sum(A, B).words()}
+            lhs = {cut(v) for v in pattern_sum(A, B).values}
             rhs = pattern_sum(
-                PatternSet(sub, frozenset(w.restrict(sub).value for w in A.words())),
-                PatternSet(sub, frozenset(w.restrict(sub).value for w in B.words())),
+                PatternSet(sub, frozenset(map(cut, A.values))),
+                PatternSet(sub, frozenset(map(cut, B.values))),
             )
             assert lhs == rhs.values
 

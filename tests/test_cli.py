@@ -105,6 +105,27 @@ class TestRunVerb:
         assert code == EXIT_INPUT
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, field, value", [
+        ("trees", "T", "x", ["x"]),
+        ("requests", 0, "cover", ["F"]),
+        ("requests", 0, "op", ["shrink_mn"]),
+    ], ids=["tree-point", "request-cover", "request-op"])
+    def test_non_string_name_exits_two_without_traceback(
+        self, tmp_path, section, key, field, value
+    ):
+        doc = json.loads(Path(golden("silver-meager")).read_text())
+        doc[section][key][field] = value
+        path = tmp_path / "list-name.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treesum", "run", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(SCENARIOS.parents[1])),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and repr(value) in proc.stderr
+
     def test_unresolved_reference_exits_two(self, tmp_path, capsys):
         doc = json.loads(Path(golden("silver-meager")).read_text())
         doc["requests"][0]["cover"] = "ghost"

@@ -19,7 +19,6 @@ from treesum.covers import (
     SmallCover,
     Stage,
     e_density_audit,
-    e_member,
 )
 from treesum.constructions import (
     build_splitting_e,
@@ -50,6 +49,8 @@ from treesum.trees import (
     silver_to_prefix,
     tree_restrict,
 )
+
+from test_oracle import e_member
 
 
 def pats(block, bits):
@@ -113,11 +114,11 @@ class TestSilverMeager:
         F, T = meager_fixture()
         res = shrink_silver_meager(F, T)
         req = res.witnesses[0]
-        even = req.cover_for(0)
-        odd = req.cover_for(1)
+        even = dict(req.per_fold)[0]
+        odd = dict(req.per_fold)[1]
         assert even.xF == F.xF
         assert odd.xF == F.xF ^ T.x
-        assert req.cover_for(2).xF == even.xF
+        assert dict(req.per_fold)[2].xF == even.xF
         assert not req.uniform_witness
 
     def test_threshold_halves_rounding_up(self):
@@ -125,14 +126,14 @@ class TestSilverMeager:
         F = MeagerCover(Point.from_bits("110100101101"), P, 3)
         _, T = meager_fixture()
         res = shrink_silver_meager(F, T)
-        assert res.witnesses[0].cover_for(0).threshold == 2
+        assert dict(res.witnesses[0].per_fold)[0].threshold == 2
 
     def test_odd_block_count_drops_tail(self):
         P = Partition.from_lengths([2] * 5)
         F = MeagerCover(Point.from_bits("1101001011"), P, 0)
         T = SilverTree(Point.from_bits("0100111001"), frozenset({0, 3, 4, 7, 8}))
         res = shrink_silver_meager(F, T)
-        assert res.witnesses[0].cover_for(0).horizon == 8
+        assert dict(res.witnesses[0].per_fold)[0].horizon == 8
         assert any("pair" in w for w in res.provenance.warnings)
         cert = certify_request(res.witnesses[0])
         assert cert.passed
@@ -171,7 +172,7 @@ class TestPerfectMeager:
             "000000000000", "000000000010",
             "001000000000", "001000000010",
         ]
-        assert res.witnesses[0].cover_for(0).horizon == 10
+        assert dict(res.witnesses[0].per_fold)[0].horizon == 10
         assert any("super-block" in w for w in res.provenance.warnings)
 
     def test_per_fold_thresholds(self):
@@ -187,7 +188,7 @@ class TestPerfectMeager:
         P = Partition.from_lengths([1] * 6)
         F = MeagerCover(Point.zero(6), P, 0)
         res = shrink_perfect_meager(F, forced_bit_tree())
-        c1 = res.witnesses[0].cover_for(1)
+        c1 = dict(res.witnesses[0].per_fold)[1]
         assert c1.threshold == 1
         assert exhaustive_containment(F, res.tree_out, 1, c1)
         lowered = MeagerCover(c1.xF, c1.partition, 0)
@@ -222,7 +223,7 @@ class TestSplittingMeager:
         F = MeagerCover(Point.from_bits("110100101101"), P, 0)
         res = build_splitting_meager(F)
         assert len(res.tree_out.leaves) == 48
-        assert res.witnesses[0].cover_for(0).horizon == 11
+        assert dict(res.witnesses[0].per_fold)[0].horizon == 11
         flags = classify(res.tree_out)
         assert flags.perfect and flags.splitting_at_horizon
 
@@ -238,7 +239,7 @@ class TestSplittingMeager:
         P = Partition.from_lengths([1] * 12)
         F = MeagerCover(Point.from_bits("110100101101"), P, 0)
         res = build_splitting_meager(F)
-        c2 = res.witnesses[0].cover_for(2)
+        c2 = dict(res.witnesses[0].per_fold)[2]
         assert c2.threshold == 3
         lowered = MeagerCover(c2.xF, c2.partition, 2)
         assert not exhaustive_containment(F, res.tree_out, 2, lowered)
@@ -249,7 +250,7 @@ class TestSplittingMeager:
         res = build_splitting_meager(F)
         # group starts are 0, 1, 2, 4, 7; the first group fully past
         # fine block 3 is the one starting at 4
-        assert res.witnesses[0].cover_for(0).threshold == 3
+        assert dict(res.witnesses[0].per_fold)[0].threshold == 3
 
 
 class TestSilverSmall:
@@ -259,7 +260,7 @@ class TestSilverSmall:
         assert sorted(res.tree_out.free) == [1, 4, 8]
         req = res.witnesses[0]
         assert req.uniform_witness
-        witness = req.cover_for(0)
+        witness = dict(req.per_fold)[0]
         for n in range(4):
             assert len(witness.patterns[n]) <= 4 * len(F.patterns[n])
         rows = density_audit_table(req)
@@ -303,7 +304,7 @@ class TestSilverNull:
         res = shrink_silver_null(NullCover(F1, empty), T)
         one_step = shrink_silver_small(F1, T)
         assert res.tree_out == one_step.tree_out
-        witness = res.witnesses[1].cover_for(0)
+        witness = dict(res.witnesses[1].per_fold)[0]
         assert witness.mass == 0
 
 
@@ -341,7 +342,7 @@ class TestPerfectSmall:
             F.mass, 2 * F.mass, 16 * F.mass, 512 * F.mass,
         ]
         assert all(r.passed for r in rows)
-        zero_fold = res.witnesses[0].cover_for(0)
+        zero_fold = dict(res.witnesses[0].per_fold)[0]
         assert zero_fold.patterns == F.patterns
 
     def test_budget_can_break_perfection(self):
@@ -431,7 +432,7 @@ class TestSplittingNull:
         for w, small in zip(res.witnesses, (F.first, F.second)):
             cert = certify_request(w)
             assert cert.passed
-            witness = w.cover_for(0)
+            witness = dict(w.per_fold)[0]
             assert witness.mass <= 8 * small.mass
             for n in range(3):
                 assert len(witness.patterns[n]) <= 8 * len(small.patterns[n])
@@ -541,7 +542,7 @@ class TestSilverE:
         assert sorted(res.tree_out.free) == [1, 7]
         req = res.witnesses[0]
         assert req.uniform_witness
-        value, ok = e_density_audit(req.cover_for(0))
+        value, ok = e_density_audit(dict(req.per_fold)[0])
         assert ok and value == Fraction(1, 2)
         assert certify_request(req).passed
         for b, cover in req.per_fold:
@@ -552,7 +553,7 @@ class TestSilverE:
         E = ECover(P, e_fixture().patterns, 4)
         T = SilverTree(Point.zero(12), frozenset({1, 7}))
         res = shrink_silver_e(E, T)
-        assert res.witnesses[0].cover_for(0).threshold == 2
+        assert dict(res.witnesses[0].per_fold)[0].threshold == 2
 
     def test_incomplete_triple_dropped(self):
         P = Partition.from_lengths([2] * 7)
@@ -560,7 +561,7 @@ class TestSilverE:
         E = ECover(P, J, 0)
         T = SilverTree(Point.zero(14), frozenset({0, 6}))
         res = shrink_silver_e(E, T)
-        assert res.witnesses[0].cover_for(0).horizon == 12
+        assert dict(res.witnesses[0].per_fold)[0].horizon == 12
         assert any("triple" in w for w in res.provenance.warnings)
 
     def test_too_few_blocks_rejected(self):
@@ -588,7 +589,7 @@ class TestPerfectE:
         P = Partition.from_lengths([1] * 6)
         E = ECover(P, tuple(pats(P[i], ["0"]) for i in range(6)), 0)
         res = shrink_perfect_e(E, forced_bit_tree())
-        c1 = res.witnesses[0].cover_for(1)
+        c1 = dict(res.witnesses[0].per_fold)[1]
         assert exhaustive_containment(E, res.tree_out, 1, c1)
         lowered = ECover(c1.partition, c1.patterns, 0)
         assert not exhaustive_containment(E, res.tree_out, 1, lowered)

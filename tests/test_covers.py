@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from treesum.bits import Partition, PatternSet, Point, pattern_sum
+from treesum.bits import Partition, PatternSet, Point, pattern_sum, restrict
 from treesum.covers import (
     BlockCheck,
     Certificate,
@@ -16,10 +16,11 @@ from treesum.covers import (
     SmallCover,
     Stage,
     e_density_audit,
-    e_member,
-    meager_member,
     strict_e_to_simple,
 )
+
+from test_oracle import e_member, meager_member
+
 
 def patterns_on(P: Partition, *pattern_lists: list[str]) -> tuple[PatternSet, ...]:
     assert len(pattern_lists) == len(P)
@@ -81,9 +82,11 @@ class TestMeagerCover:
     def test_allowed_forbidden_split(self):
         P = Partition.from_lengths([2, 3])
         C = MeagerCover(Point.from_bits("10110"), P, 0)
-        assert {w.bits() for w in C.forbidden(1).words()} == {"110"}
+        # all words but the centre's: "110" on block 1, "10" on block 0
+        assert C.allowed(1).values == frozenset(range(8)) - {0b110}
         assert len(C.allowed(1)) == 7
-        assert C.forbidden(0).values.isdisjoint(C.allowed(0).values)
+        assert restrict(C.xF, P[0]) not in C.allowed(0)
+        assert len(C.allowed(0)) == 3
 
 
 class TestSmallCover:

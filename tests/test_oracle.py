@@ -18,6 +18,7 @@ from treesum.bits import (
     Point,
     block_product,
     pattern_sum,
+    restrict,
 )
 from treesum.covers import (
     BlockCheck,
@@ -25,8 +26,6 @@ from treesum.covers import (
     ECover,
     MeagerCover,
     SmallCover,
-    e_member,
-    meager_member,
 )
 from treesum.oracle import (
     DEFAULT_BUDGET,
@@ -45,7 +44,6 @@ from treesum.scenario import Tamper, _apply_tamper
 from treesum.trees import (
     PrefixTree,
     SilverTree,
-    body,
     silver_to_prefix,
     tree_restrict,
 )
@@ -62,12 +60,12 @@ def nfold_body_sum_direct(T: PrefixTree, n: int) -> PatternSet:
     the reference for the iterated sums of `nfold_body_sum`."""
     if n < 1:
         raise ValueError("fold count must be at least 1")
-    words = body(T)
+    words = T.sorted_leaves
     out = set()
     for combo in itertools.product(range(len(words)), repeat=n):
         v = 0
         for i in combo:
-            v ^= words[i].value
+            v ^= words[i]
         out.add(v)
     return PatternSet(Block(0, T.horizon), frozenset(out))
 
@@ -84,6 +82,29 @@ def plain_nfold(J: PatternSet, n: int, budget: int) -> PatternSet:
             raise BudgetExceeded(f"fold sum budget {budget} exceeded")
         acc = pattern_sum(acc, J)
     return acc
+
+
+def meager_member(C: MeagerCover, p: Point) -> bool:
+    """Whether p differs from the centre on every block at or past the
+    threshold, point by point: the membership reference for the meager
+    point sets of the exhaustive oracle."""
+    if p.horizon != C.horizon:
+        raise ValueError(f"horizon {p.horizon} != cover horizon {C.horizon}")
+    return all(
+        restrict(p, b) != restrict(C.xF, b)
+        for b in C.partition.blocks[C.threshold:]
+    )
+
+
+def e_member(C: ECover, p: Point) -> bool:
+    """Whether p lands in the listed patterns on every block at or past
+    the threshold: the membership reference for E point sets."""
+    if p.horizon != C.horizon:
+        raise ValueError(f"horizon {p.horizon} != cover horizon {C.horizon}")
+    return all(
+        restrict(p, C.partition[n]) in C.patterns[n]
+        for n in range(C.threshold, len(C.partition))
+    )
 
 
 @st.composite
@@ -206,9 +227,7 @@ class TestNfold:
         assert nfold_body_sum(T, 3) == one
         assert nfold_body_sum(T, 4) == two
         for n in (1, 2, 3, 4, 5):
-            assert nfold_body_sum(T, n).is_subset(
-                PatternSet(one.block, one.values | two.values)
-            )
+            assert nfold_body_sum(T, n).values <= one.values | two.values
 
     def test_fold_validation(self):
         T = PrefixTree.full(2)
@@ -487,8 +506,9 @@ class TestCertifyRequest:
             )
 
     def test_rejects_a_repeated_fold_count(self):
-        # cover_for would see only the first cover, and the certificate's
-        # thresholds would merge the two folds into one report key
+        # a lookup by fold would see only one of the covers, and the
+        # certificate's thresholds would merge the two folds into one
+        # report key
         fine = Partition.from_lengths([1, 1])
         source = MeagerCover(Point.zero(2), fine, 0)
         bad = MeagerCover(Point.from_bits("11"), fine, 0)
@@ -515,7 +535,7 @@ def source_product(source, lo: int, hi: int) -> PatternSet:
 def certify_by_targets(req: CertificateRequest) -> tuple[BlockCheck, ...]:
     """The checks of `req` with the source and every fold's targets
     materialized, a meager block as all words but its forbidden one, each
-    tested by `is_subset`: the reference for the cover checks of
+    tested by set inclusion: the reference for the cover checks of
     `certify_request`."""
     checks = []
     for b, cover in req.per_fold:
@@ -530,7 +550,7 @@ def certify_by_targets(req: CertificateRequest) -> tuple[BlockCheck, ...]:
             )
             shifted = pattern_sum(source_product(req.source, *req.ranges[n]),
                                   tree_patterns)
-            checks.append(BlockCheck(b, n, shifted.is_subset(targets[n])))
+            checks.append(BlockCheck(b, n, shifted.values <= targets[n].values))
     return tuple(checks)
 
 

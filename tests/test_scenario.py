@@ -18,7 +18,6 @@ from treesum.covers import (
     MeagerCover,
     NullCover,
     SmallCover,
-    meager_member,
 )
 from treesum.oracle import BudgetExceeded
 from treesum.scenario import (
@@ -33,6 +32,8 @@ from treesum.scenario import (
     run,
 )
 from treesum.trees import SilverTree
+
+from test_oracle import meager_member
 
 GOLDEN_NAMES = (
     "chain-simplify",
@@ -317,6 +318,15 @@ class TestLoading:
         pytest.param(lambda d: d["covers"].update(C={
             "kind": "chain", "stages": [{"measure": "1/4"}],
         }), "cover 'C' stage 0: missing 'nodes'", id="chain-stage-no-nodes"),
+        pytest.param(lambda d: d["trees"]["T"].update(x=["x"]),
+                     "tree 'T': unresolved point reference ['x']",
+                     id="tree-point-not-string"),
+        pytest.param(lambda d: d["requests"][0].update(cover=["F"]),
+                     "request 0: unresolved cover reference ['F']",
+                     id="request-cover-not-string"),
+        pytest.param(lambda d: d["requests"][0].update(op=["shrink_mn"]),
+                     "request 0: unknown operation name ['shrink_mn']",
+                     id="op-not-string"),
     ])
     def test_malformed_field_is_an_input_error(self, tmp_path, capsys,
                                                mutate, message):
@@ -331,6 +341,54 @@ class TestLoading:
         doc["covers"]["C"]["stages"][0]["measure"] = "one eighth"
         with pytest.raises(ScenarioError, match="bad rational"):
             parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_every_replaced_field_is_a_named_error_or_runs(self, name):
+        # each field of the document, at any depth, replaced in turn by
+        # each value of SWEEP_VALUES: loading and running either succeed
+        # or raise ScenarioError, never another exception
+        doc = golden_doc(name)
+        flags = RunFlags(deterministic=True, exhaustive=False)
+        escaped = []
+        for path in field_paths(doc):
+            for value in SWEEP_VALUES:
+                try:
+                    run(parse_scenario(json.dumps(with_field(doc, path, value))),
+                        flags)
+                except ScenarioError:
+                    pass
+                except Exception as err:
+                    escaped.append((path, value, repr(err)))
+        assert not escaped
+
+
+SWEEP_VALUES = (
+    None, True, 0, -1, 2.0, "zz", [], ["x"], {}, {"a": 1}, [[0, 1]], "0101",
+    10**6,
+)
+
+
+def field_paths(node, prefix: tuple = ()):
+    """The key path of every value below the document root, outer first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+def with_field(doc: dict, path: tuple, value) -> dict:
+    """A copy of the document with the field at `path` set to `value`."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
 
 
 class TestRunning:
@@ -422,7 +480,7 @@ class TestRunning:
             moved = point ^ Point.from_bits(found["sum"])
             lo, hi = found["block"]
             assert meager_member(scn.covers["F"], moved)
-            witness = result.witnesses[0].cover_for(int(b))
+            witness = dict(result.witnesses[0].per_fold)[int(b)]
             assert restrict(point, Block(lo, hi)) == restrict(
                 witness.xF, Block(lo, hi)
             )

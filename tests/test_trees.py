@@ -29,13 +29,11 @@ from treesum.trees import (
     KindFlags,
     PrefixTree,
     SilverTree,
-    body,
     classify,
     first_splitting_node,
     is_perfect,
     is_subtree,
     leftmost_leaf,
-    silver_sum,
     silver_to_prefix,
     splitting_defect,
     tree_restrict,
@@ -90,6 +88,15 @@ def leaves_of(T: PrefixTree) -> set[str]:
     return {format(v, f"0{T.horizon}b") for v in T.leaves}
 
 
+def body_sum(T1: SilverTree, T2: SilverTree) -> frozenset[int]:
+    """The XOR sumset of two Silver bodies, leaf pair by leaf pair."""
+    return frozenset(
+        u ^ v
+        for u in silver_to_prefix(T1).leaves
+        for v in silver_to_prefix(T2).leaves
+    )
+
+
 def random_tree(rng: random.Random, horizon: int, max_leaves: int) -> PrefixTree:
     count = rng.randint(1, max_leaves)
     pool = rng.sample(range(1 << horizon), min(count, 1 << horizon))
@@ -104,37 +111,45 @@ class TestSilverTree:
             SilverTree(Point.from_bits("0000"), frozenset({4}))
 
     def test_canonical_zeroes_free_bits(self):
+        # the bits of x on free coordinates are irrelevant: zeroing them
+        # gives the same tree
         T = SilverTree(Point.from_bits("1111"), frozenset({1, 3}))
-        assert T.canonical().x.bits() == "1010"
-        assert T.canonical().free == T.free
+        zeroed = SilverTree(Point.from_bits("1010"), T.free)
+        assert silver_to_prefix(T) == silver_to_prefix(zeroed)
+        assert leaves_of(silver_to_prefix(T)) == {"1010", "1011", "1110", "1111"}
 
     def test_sum_parameters(self):
+        # the body of the tree with XORed base points and united free sets
+        # is the sumset of the two bodies
         T1 = SilverTree(Point.from_bits("1010"), frozenset({0}))
         T2 = SilverTree(Point.from_bits("0110"), frozenset({3}))
-        S = silver_sum(T1, T2)
+        S = SilverTree(T1.x ^ T2.x, T1.free | T2.free)
         assert S.x.bits() == "1100"
         assert S.free == {0, 3}
+        assert silver_to_prefix(S).leaves == body_sum(T1, T2)
+        assert leaves_of(silver_to_prefix(S)) == {"0100", "0101", "1100", "1101"}
 
     def test_sum_with_self(self):
+        # x ^ x = 0: a body plus itself is the group its free coordinates span
         T = SilverTree(Point.from_bits("1010"), frozenset({0, 2}))
-        S = silver_sum(T, T)
-        assert S.x.value == 0
-        assert S.free == T.free
+        group = silver_to_prefix(SilverTree(Point.zero(4), T.free))
+        assert body_sum(T, T) == group.leaves
+        assert leaves_of(group) == {"0000", "0010", "1000", "1010"}
 
     def test_sum_identity(self):
+        # the single zero branch adds nothing
         T = SilverTree(Point.from_bits("1011"), frozenset({1}))
-        S = silver_sum(T, SilverTree(Point.zero(4), frozenset()))
-        assert S.canonical() == T.canonical()
+        zero = SilverTree(Point.zero(4), frozenset())
+        assert body_sum(T, zero) == silver_to_prefix(T).leaves
 
 
-def ref_silver_leaves(T: SilverTree, depth: int) -> frozenset[int]:
-    """One leaf per subset of the free coordinates below `depth`, each set
-    bit by bit over the base with those coordinates cleared."""
-    base = T.x.truncate(depth).value
+def ref_silver_leaves(T: SilverTree) -> frozenset[int]:
+    """One leaf per subset of the free coordinates, each set bit by bit
+    over the base with those coordinates cleared."""
+    H, base = T.horizon, T.x.value
     for i in T.free:
-        if i < depth:
-            base &= ~(1 << (depth - 1 - i))
-    free_positions = sorted(depth - 1 - i for i in T.free if i < depth)
+        base &= ~(1 << (H - 1 - i))
+    free_positions = sorted(H - 1 - i for i in T.free)
     leaves = []
     for mask_bits in range(1 << len(free_positions)):
         v = base
@@ -148,7 +163,7 @@ def ref_silver_leaves(T: SilverTree, depth: int) -> frozenset[int]:
 class TestSilverToPrefix:
     def test_frozen_example(self):
         T = SilverTree(Point.from_bits("0000"), frozenset({1, 3}))
-        P = silver_to_prefix(T, 4)
+        P = silver_to_prefix(T)
         assert leaves_of(P) == {"0000", "0001", "0100", "0101"}
 
     def test_no_free_gives_single_branch(self):
@@ -159,31 +174,24 @@ class TestSilverToPrefix:
         T = SilverTree(Point.from_bits("000"), frozenset({0, 1, 2}))
         assert silver_to_prefix(T) == PrefixTree.full(3)
 
-    def test_depth_prefix(self):
-        T = SilverTree(Point.from_bits("0000"), frozenset({1, 3}))
-        assert leaves_of(silver_to_prefix(T, 2)) == {"00", "01"}
-
     def test_body_size_counts_free_coordinates(self):
         rng = random.Random(23)
         for _ in range(20):
             h = rng.randint(2, 8)
             free = frozenset(rng.sample(range(h), rng.randint(0, h)))
             x = Point(h, rng.randrange(1 << h))
-            for depth in (max(1, h // 2), h):
-                P = silver_to_prefix(SilverTree(x, free), depth)
-                assert len(P) == 1 << len({i for i in free if i < depth})
+            P = silver_to_prefix(SilverTree(x, free))
+            assert len(P) == 1 << len(free)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10).flatmap(lambda h: st.tuples(
         st.integers(0, (1 << h) - 1), st.frozensets(st.integers(0, h - 1))
     ).map(lambda t: (h, *t))))
     def test_matches_the_double_loop(self, drawn):
-        # x keeps its bits on free coordinates, and every depth from 1 to
-        # H leaves some free coordinates at or past it
+        # x keeps its bits on free coordinates
         h, x, free = drawn
         T = SilverTree(Point(h, x), free)
-        for depth in range(1, h + 1):
-            assert silver_to_prefix(T, depth).leaves == ref_silver_leaves(T, depth)
+        assert silver_to_prefix(T).leaves == ref_silver_leaves(T)
 
     def test_sum_body_law_exhaustive_small(self):
         # body of the parameter sum equals the XOR sumset of the bodies
@@ -194,10 +202,8 @@ class TestSilverToPrefix:
                             frozenset(rng.sample(range(h), rng.randint(0, h))))
             T2 = SilverTree(Point(h, rng.randrange(1 << h)),
                             frozenset(rng.sample(range(h), rng.randint(0, h))))
-            direct = {u.value ^ v.value
-                      for u in body(silver_to_prefix(T1))
-                      for v in body(silver_to_prefix(T2))}
-            assert silver_to_prefix(silver_sum(T1, T2)).leaves == direct
+            summed = SilverTree(T1.x ^ T2.x, T1.free | T2.free)
+            assert silver_to_prefix(summed).leaves == body_sum(T1, T2)
 
 
 class TestPrefixTree:
@@ -248,8 +254,9 @@ class TestPrefixTree:
             assert T.cuts == checked.cuts
 
     def test_body_full(self):
-        assert len(body(PrefixTree.full(3))) == 8
-        assert [w.bits() for w in body(PrefixTree.from_leaves(["10"]))] == ["10"]
+        # the body is the leaves, in canonical order
+        assert PrefixTree.full(3).sorted_leaves == tuple(range(8))
+        assert PrefixTree.from_leaves(["10"]).sorted_leaves == (0b10,)
 
     def test_restrict(self):
         full = PrefixTree.full(3)
@@ -329,10 +336,15 @@ class TestClassify:
         assert not classify(T).splitting_at_horizon
 
     def test_splitting_allowance(self):
+        # the allowance is horizon // 2, so 2 at horizon 4
         branch = PrefixTree.from_leaves(["0000"])
         assert splitting_defect(branch) == 4
-        assert classify(branch, split_allowance=4).splitting_at_horizon
-        assert not classify(branch, split_allowance=3).splitting_at_horizon
+        assert not classify(branch).splitting_at_horizon
+        at = silver_to_prefix(SilverTree(Point.zero(4), frozenset({2, 3})))
+        past = silver_to_prefix(SilverTree(Point.zero(4), frozenset({0, 1, 3})))
+        assert splitting_defect(at) == 2 and classify(at).splitting_at_horizon
+        assert splitting_defect(past) == 3
+        assert not classify(past).splitting_at_horizon
 
 
 class TestSplittingDiagnostics:
@@ -448,8 +460,7 @@ def silver_prefix_trees(draw):
     horizon = draw(st.integers(1, 9))
     x = Point(horizon, draw(st.integers(0, (1 << horizon) - 1)))
     free = draw(st.frozensets(st.integers(0, horizon - 1)))
-    depth = draw(st.integers(1, horizon))
-    return silver_to_prefix(SilverTree(x, free), depth)
+    return silver_to_prefix(SilverTree(x, free))
 
 
 @st.composite
